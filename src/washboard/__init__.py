@@ -13,9 +13,10 @@ from .model import (ModelParams, PeriodicPotential, ReferenceScales,
 from .basis import (FourierVector, HermiteFourierField, TruncationSpec,
                     apply_lower, apply_momentum, apply_raise,
                     hermite_eval, weighted_inner_product)
-from .transport import (BlockSet, StationaryDensity, TransportResult,
-                        build_blocks, compute_diffusion, downward_recursion,
-                        solve_cell_problem, solve_stationary_fp, solve_transport)
+from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
+                        TransportResult, compute_diffusion, factor_hierarchy,
+                        hierarchy_blocks, solve_cell_problem, solve_stationary_fp,
+                        solve_transport)
 from .expansion import (EquilibriumChain, ExpansionTable, build_chain,
                         diffusion_coefficients, partial_sum_D, partial_sum_U,
                         series_radius_estimate, solve_equilibrium_poisson,
@@ -33,8 +34,8 @@ __all__ = [
     "FourierVector", "HermiteFourierField", "TruncationSpec",
     "apply_lower", "apply_momentum", "apply_raise",
     "hermite_eval", "weighted_inner_product",
-    "BlockSet", "StationaryDensity", "TransportResult",
-    "build_blocks", "compute_diffusion", "downward_recursion",
+    "HierarchyBlocks", "HierarchyFactors", "StationaryDensity", "TransportResult",
+    "compute_diffusion", "factor_hierarchy", "hierarchy_blocks",
     "solve_cell_problem", "solve_stationary_fp", "solve_transport",
     "EquilibriumChain", "ExpansionTable", "build_chain",
     "diffusion_coefficients", "partial_sum_D", "partial_sum_U",

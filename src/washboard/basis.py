@@ -28,6 +28,7 @@ __all__ = [
     "HermiteFourierField",
     "hermite_eval",
     "hermite_table",
+    "gauss_hermite_functions",
     "apply_raise",
     "apply_lower",
     "apply_momentum",
@@ -46,9 +47,12 @@ __all__ = [
 class TruncationSpec:
     """Galerkin truncation: Hermite levels 0..n_hermite, harmonics 0..n_fourier.
 
-    ``closure`` selects the boundary condition closing the level hierarchy at
-    the top: level N+1 is set to zero ("dirichlet") or copied from level N
-    ("neumann").
+    ``closure`` selects the boundary condition closing the cell-problem
+    hierarchy at the top: level N+1 is set to zero ("dirichlet") or copied
+    from level N ("neumann").  The stationary density is solved with the same
+    factors, so its top row is the W-adjoint of the cell closure: level N+1
+    set to zero for "dirichlet"; for "neumann" the top-row term
+    sqrt(N+1) d_q R_{N+1} becomes sqrt(N+1) (d_q - beta (F - V')) R_N.
     """
 
     n_hermite: int
@@ -81,16 +85,54 @@ class TruncationSpec:
 def hermite_table(n_max: int, x) -> np.ndarray:
     """Orthonormal probabilists' Hermite values He_n(x)/sqrt(n!), n = 0..n_max.
 
-    Three-term recurrence in normalized form; returns shape (len(x), n_max+1).
+    Three-term recurrence in normalized form; returns shape (len(x), n_max+1),
+    a column-major view, so that each level is written contiguously.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    T = np.empty((x.size, n_max + 1))
-    T[:, 0] = 1.0
+    T = np.empty((n_max + 1, x.size))
+    T[0] = 1.0
     if n_max >= 1:
-        T[:, 1] = x
+        T[1] = x
     for n in range(1, n_max):
-        T[:, n + 1] = (x * T[:, n] - np.sqrt(n) * T[:, n - 1]) / np.sqrt(n + 1)
-    return T
+        T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
+    return T.T
+
+
+_RESCALE = 1e100
+
+
+def gauss_hermite_functions(n_max: int, x) -> np.ndarray:
+    """Hermite functions sqrt(w_i) He_n(x_i)/sqrt(n!), n = 0..n_max, on the
+    nodes x of the Gauss rule for the unit Maxwellian, w_i its weights.
+
+    The weights come from the Christoffel identity
+    1/w_i = sum_{k < len(x)} He_k(x_i)^2/k!, summed along the same recurrence,
+    which is rescaled per node whenever it grows large.  The table therefore
+    stays finite and orthonormal (T.T @ T = I) where the bare polynomials
+    overflow and the weights underflow: at the outer nodes of a rule with a
+    few hundred points or more.  Returns shape (len(x), n_max+1), a
+    column-major view like :func:`hermite_table`.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if n_max >= x.size:
+        raise ValueError(f"n_max={n_max} needs more than {x.size} nodes")
+    T = np.empty((n_max + 1, x.size))
+    T[0] = 1.0
+    prev, cur = np.zeros(x.size), np.ones(x.size)
+    norm2 = np.ones(x.size)
+    for k in range(1, x.size):
+        prev, cur = cur, (x * cur - np.sqrt(k - 1) * prev) / np.sqrt(k)
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            prev[big] /= _RESCALE
+            cur[big] /= _RESCALE
+            norm2[big] /= _RESCALE ** 2
+            T[: min(k, n_max + 1), big] /= _RESCALE
+        norm2 += cur * cur
+        if k <= n_max:
+            T[k] = cur
+    T /= np.sqrt(norm2)
+    return T.T
 
 
 def hermite_eval(n: int, p, beta: float):
@@ -353,6 +395,11 @@ class GibbsQuadrature:
     Gauss nodes matched to the Maxwellian in p, uniform trapezoid against
     e^{-beta V}/Z_q in q.  Z is computed with the same rule, so <1,1> = 1 holds
     by construction.  Exact for pair products of fields resolved by the rule.
+
+    The square root of each Gauss weight is folded into the Hermite table
+    (:func:`gauss_hermite_functions`), so :meth:`values` returns sqrt(w_p) g
+    on the grid and :meth:`integrate` takes a product of two such arrays
+    (times any plain factor, such as p).
     """
 
     def __init__(self, params: ModelParams, n_hermite: int, n_fourier: int,
@@ -370,24 +417,23 @@ class GibbsQuadrature:
         self.n_hermite, self.n_fourier = N, M
         beta = params.beta
         L = params.potential.period
-        self.x, self.wp = roots_hermitenorm(n_p)
-        self.wp = self.wp / np.sqrt(2.0 * np.pi)
+        self.x, _ = roots_hermitenorm(n_p)
         self.q = np.arange(n_q) * L / n_q
         wq = np.exp(-beta * params.potential.evaluate(self.q))
         self.wq = wq / wq.sum()
-        self.hermite = hermite_table(N, self.x)            # (n_p, N+1)
+        self.hermite = gauss_hermite_functions(N, self.x)  # (n_p, N+1)
         self.fourier = _fourier_table(M, L, self.q)        # (2M+1, n_q)
         self.p = self.x / np.sqrt(beta)
 
     def values(self, g: HermiteFourierField) -> np.ndarray:
-        """Field values on the (p, q) grid, shape (n_p, n_q)."""
+        """sqrt(w_p) times the field values on the (p, q) grid, shape (n_p, n_q)."""
         if g.n_hermite != self.n_hermite or g.n_fourier != self.n_fourier:
             raise ValueError("field truncation does not match quadrature grid")
         return self.hermite @ g.coeffs @ self.fourier
 
     def integrate(self, vals: np.ndarray) -> float:
-        """Integral of grid values against rho_bar."""
-        return float(self.wp @ vals @ self.wq)
+        """Integral against rho_bar of a product of two :meth:`values` arrays."""
+        return float(np.sum(vals @ self.wq))
 
     def inner(self, g: HermiteFourierField, h: HermiteFourierField) -> float:
         return self.integrate(self.values(g) * self.values(h))

@@ -11,8 +11,10 @@ fig             presets encoding the standard figure parameter sets
 
 Configuration is a JSON file (``--config``) with flat keys overridable by
 flags; all quantities are in the problem's nondimensional units.  Sweep points
-run concurrently but the CSV rows always come out in sweep order, and every
-float prints with 17 significant digits, so a rerun is byte-identical.
+run one after another (``"workers": n`` in the config spreads them over n
+threads, which only pays when the solves release the interpreter lock); the
+CSV rows always come out in sweep order, and every float prints with 17
+significant digits, so a rerun is byte-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _DEFAULTS = {
     "adaptive": True,
     "scale": False,
     "mc": {"dt": 0.01, "n_steps": 100000, "n_burnin": 2000, "n_traj": 500, "seed": 1},
-    "workers": 4,
+    "workers": 1,
 }
 
 
@@ -181,8 +183,8 @@ def parse_report(path: str) -> list[dict]:
     return rows
 
 
-def run_sweep(point_fn, values, workers: int = 4) -> list[dict]:
-    """Evaluate point_fn over the sweep concurrently, rows in sweep order.
+def run_sweep(point_fn, values, workers: int = 1) -> list[dict]:
+    """Evaluate point_fn over the sweep on ``workers`` threads, rows in sweep order.
 
     A failing point contributes a row with the 'error' column set; the sweep
     continues.

@@ -11,8 +11,8 @@ with V_l, Sigma_nl, Xi_nl built from two chains of equilibrium Poisson
 problems: f_j = (-Lhat0)^{-1} a+ f_{j-1} starting from f_0 = 1, and
 phi_0 = (-L0)^{-1} p followed by phi_j = (-L0)^{-1}(a- phi_{j-1} - V_j).
 The l = 0 diffusion term V_1/beta is the fluctuation-dissipation value; the
-Sigma/Xi columns quantify how the naive extension D_l = V_{l+1}/beta fails
-beyond linear response.
+Sigma/Xi columns quantify how the naive extension D_l = (l+1) V_{l+1}/beta,
+the F^l coefficient of (1/beta) dU/dF, fails beyond linear response.
 
 Each Poisson problem is solved as one sparse block-tridiagonal system over all
 Hermite levels, bordered by the mean-zero constraint row (the right-hand sides
@@ -238,7 +238,8 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     adj = EquilibriumPoissonSolver(params, trunc, adjoint=True)
     fwd = EquilibriumPoissonSolver(params, trunc, adjoint=False)
     grid = GibbsQuadrature(params, N, M)
-    pvals = (grid.p[:, None]) * np.ones((1, grid.q.size))
+    p_field = HermiteFourierField.momentum(N, M, L, beta)
+    pvals = grid.values(p_field)
 
     lams: dict[str, float] = {}
     residuals: dict[str, float] = {}
@@ -263,7 +264,6 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
 
     phis = []
     phi_vals = []
-    p_field = HermiteFourierField.momentum(N, M, L, beta)
     phi0, lam, res = fwd.solve(p_field)
     phis.append(phi0)
     phi_vals.append(grid.values(phi0))
@@ -295,6 +295,8 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     for j in range(1, min(order, len(phis)) + 1):
         v_phi[j] = beta * grid.integrate(pvals * phi_vals[j - 1])
 
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(v_phi))):
+        raise SolverError("non-finite drift coefficient in the equilibrium chain")
     diagnostics = {"lambda": lams, "residual": residuals, "solvability": solvability}
     return EquilibriumChain(
         params=params, trunc=trunc, order=order,
@@ -373,6 +375,8 @@ def diffusion_coefficients(chain: EquilibriumChain) -> ExpansionTable:
         for n in range(1, ell + 1):
             sigma[n - 1, ell - 1] = grid.integrate(pvals * phi_vals[ell - n] * f_vals[n])
             xi[n - 1, ell - 1] = grid.integrate(phi_vals[ell - n] * df_vals[n]) / beta
+    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(xi))):
+        raise SolverError("non-finite Sigma/Xi coefficient in the equilibrium chain")
 
     d_full = np.zeros(K)
     d_naive = np.zeros(K)
@@ -400,7 +404,7 @@ def partial_sum_D(table: ExpansionTable, force: float, order: int,
 
     ``mode="full"`` uses the complete coefficients; ``mode="naive_einstein"``
     deliberately evaluates the (false beyond linear response) hypothesis
-    D_l = V_{l+1}/beta, i.e. D(F) = dU/dF / beta, for comparison plots.
+    D_l = (l+1) V_{l+1}/beta, i.e. D(F) = dU/dF / beta, for comparison plots.
     """
     if order > table.order - 1:
         raise ValueError(f"order {order} exceeds {table.order - 1}")

@@ -1,16 +1,27 @@
 """Nonperturbative drift and diffusion from the truncated kinetic hierarchy.
 
-Projecting the stationary Fokker-Planck equation and the cell problem
--L phi = p - U onto the Hermite-Fourier basis yields block-tridiagonal
-hierarchies over the Hermite index, with (2M+1)-sized blocks acting on packed
-Fourier vectors.  Both are closed by a boundary condition at the top level and
-solved by a downward matrix recursion:
+Projecting the cell problem -L phi = p - U onto the Hermite-Fourier basis
+yields a block-tridiagonal hierarchy over the Hermite index, with
+(2M+1)-sized blocks acting on packed Fourier vectors,
 
-    S_n = -(Q_{n+1} + Q_{n+1}^- S_{n+1})^{-1} Q_{n+1}^+ ,
+    Q_n^+ Phi_{n-1} + Q_n Phi_n + Q_n^- Phi_{n+1} = rhs_n,
 
-after which every level follows from the bottom one.  The drift is read off
-the stationary density, the diffusion coefficient from pairing the density
-with the cell solution, cross-checked against the gradient-squared form.
+closed by a boundary condition at the top level N.  Eliminating it from the
+top is a block LU factorization: the Schur complements
+
+    G_N = Q_N + Q_N^- S_N,    G_n = Q_n - Q_n^- G_{n+1}^{-1} Q_{n+1}^+,
+
+(S_N = 0 for the Dirichlet closure, the identity for the Neumann one) are
+inverted once each, and every level follows from the one below it,
+Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}).
+
+The stationary Fokker-Planck hierarchy is the negative adjoint of the cell
+hierarchy in the packed metric W = diag(1, 2, .., 2) of (1/L) int f g dq.
+Its Schur complements are therefore -W^{-1} G_n^T W, and the same inverses,
+applied transposed, give the density level by level.  One factorization per
+truncation serves both problems.  The drift is read off the stationary
+density, the diffusion coefficient from pairing the density with the cell
+solution, cross-checked against the gradient-squared form.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dgetrf, dgetri, dgetri_lwork
 from scipy.special import roots_hermitenorm
 
 from .model import ModelParams
@@ -31,11 +43,12 @@ from .basis import (
 )
 
 __all__ = [
-    "BlockSet",
+    "HierarchyBlocks",
+    "HierarchyFactors",
     "StationaryDensity",
     "TransportResult",
-    "build_blocks",
-    "downward_recursion",
+    "hierarchy_blocks",
+    "factor_hierarchy",
     "solve_stationary_fp",
     "solve_cell_problem",
     "compute_diffusion",
@@ -47,88 +60,117 @@ class SolverError(RuntimeError):
     """A linear-algebra failure that indicates an inadequate truncation."""
 
 
+def _check_info(info: int, message: str) -> None:
+    if info > 0:
+        raise SolverError(message)
+    if info < 0:
+        raise ValueError(f"LAPACK argument {-info} is invalid")
+
+
 # ---------------------------------------------------------------------------
 # Blocks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BlockSet:
-    """Blocks of the two level hierarchies.
+class HierarchyBlocks:
+    """The n-independent blocks of both level hierarchies.
 
-    ``d_q`` is the packed d/dq matrix and ``tilt_mult`` the packed
-    multiplication by (F - V'(q)); both are (2M+1)^2.  The cell hierarchy for
-    phi uses (q_plus, q_diag, q_minus); the stationary-density hierarchy uses
-    (r_plus, r_diag, r_minus).  Every n-dependence is an exact sqrt(n) /
-    sqrt(n+1) / n scaling of an n-independent matrix.
+    ``d_q`` is the packed d/dq matrix and T the packed multiplication by
+    (F - V'(q)).  Row n of the cell hierarchy for phi is
+
+        sqrt(n) d_q Phi_{n-1} - gamma sqrt(beta) n Phi_n
+            + sqrt(n+1) drift Phi_{n+1},        drift = d_q + beta T,
+
+    and row n of the stationary-density hierarchy is
+
+        sqrt(n) lift R_{n-1} + gamma sqrt(beta) n R_n
+            + sqrt(n+1) d_q R_{n+1},            lift = d_q - beta T.
+
+    ``friction`` is gamma sqrt(beta) and ``metric`` the diagonal of
+    W = diag(1, 2, .., 2).
     """
 
-    gamma: float
-    beta: float
+    friction: float
     d_q: np.ndarray
-    tilt_mult: np.ndarray
+    drift: np.ndarray
+    lift: np.ndarray
+    metric: np.ndarray
 
     @property
     def size(self) -> int:
         return self.d_q.shape[0]
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.size)
 
-    # cell-problem hierarchy (levels of phi)
-    def q_diag(self, n: int) -> np.ndarray:
-        return -self.gamma * np.sqrt(self.beta) * n * self.identity()
-
-    def q_plus(self, n: int) -> np.ndarray:
-        return np.sqrt(n) * self.d_q
-
-    def q_minus(self, n: int) -> np.ndarray:
-        return np.sqrt(n + 1) * (self.d_q + self.beta * self.tilt_mult)
-
-    # stationary-density hierarchy (levels of rho/rho_hat)
-    def r_diag(self, n: int) -> np.ndarray:
-        return self.gamma * np.sqrt(self.beta) * n * self.identity()
-
-    def r_plus(self, n: int) -> np.ndarray:
-        return np.sqrt(n) * (self.d_q - self.beta * self.tilt_mult)
-
-    def r_minus(self, n: int) -> np.ndarray:
-        return np.sqrt(n + 1) * self.d_q
-
-
-def build_blocks(params: ModelParams, trunc: TruncationSpec) -> BlockSet:
-    """Assemble the n-independent building blocks for the given problem."""
+def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlocks:
+    """Assemble the n-independent blocks for the given problem."""
     trunc.check_potential(params.potential)
     M = trunc.n_fourier
     L = params.potential.period
     d_q = packed_dq_matrix(M, L)
     tilt = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
-    return BlockSet(gamma=params.gamma, beta=params.beta, d_q=d_q, tilt_mult=tilt)
+    metric = np.full(2 * M + 1, 2.0)
+    metric[0] = 1.0
+    return HierarchyBlocks(friction=params.gamma * np.sqrt(params.beta), d_q=d_q,
+                           drift=d_q + params.beta * tilt,
+                           lift=d_q - params.beta * tilt, metric=metric)
 
 
 # ---------------------------------------------------------------------------
-# Downward recursion
+# One factorization for both hierarchies
 # ---------------------------------------------------------------------------
 
-def _downward(qplus, qdiag, qminus, n_top: int, closure: str) -> list[np.ndarray]:
-    size = qdiag(1).shape[0]
-    S: list[np.ndarray | None] = [None] * (n_top + 1)
-    S[n_top] = np.zeros((size, size)) if closure == "dirichlet" else np.eye(size)
-    for n in range(n_top - 1, -1, -1):
-        A = qdiag(n + 1) + qminus(n + 1) @ S[n + 1]
-        try:
-            S[n] = -np.linalg.solve(A, qplus(n + 1))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"singular closure block at hermite level n={n + 1}; "
-                "raise n_hermite or check parameters"
-            ) from exc
-    return S  # type: ignore[return-value]
+@dataclass(frozen=True)
+class HierarchyFactors:
+    """Inverses of the cell hierarchy's Schur complements G_1..G_N.
+
+    ``bottom`` is the level-0 block Q_0^- S_0 left after the elimination; it
+    is singular (constants solve the homogeneous problem).  ``params`` and
+    ``trunc`` record the problem the factors belong to.
+    """
+
+    params: ModelParams
+    trunc: TruncationSpec
+    blocks: HierarchyBlocks = field(repr=False)
+    inverses: np.ndarray = field(repr=False)    # [n] = G_n^{-1}, n = 1..N; [0] unused
+    bottom: np.ndarray = field(repr=False)
+
+    def solve(self, n: int, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """G_n^{-1} b, or G_n^{-T} b with ``transpose``."""
+        inv = self.inverses[n]
+        return (inv.T if transpose else inv) @ b
 
 
-def downward_recursion(blocks: BlockSet, trunc: TruncationSpec) -> list[np.ndarray]:
-    """Elimination matrices S_0..S_N of the cell hierarchy (Phi_{n+1} = S_n Phi_n)."""
-    return _downward(blocks.q_plus, blocks.q_diag, blocks.q_minus,
-                     trunc.n_hermite, trunc.closure)
+def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
+                     blocks: HierarchyBlocks | None = None) -> HierarchyFactors:
+    """Invert the Schur complements G_N..G_1 of the cell hierarchy.
+
+    With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
+    is Q_{n-1}^- S_{n-1} = -n drift G_n^{-1} d_q, and G_{n-1} adds the scalar
+    diagonal -gamma sqrt(beta) (n-1).
+    """
+    if blocks is None:
+        blocks = hierarchy_blocks(params, trunc)
+    N = trunc.n_hermite
+    size = blocks.size
+    friction = blocks.friction
+    lwork = int(dgetri_lwork(size)[0])
+    inverses = np.empty((N + 1, size, size))
+    # Q_N^- S_N: nothing above level N (dirichlet), or Phi_{N+1} = Phi_N
+    g = (np.zeros((size, size)) if trunc.closure == "dirichlet"
+         else np.sqrt(N + 1) * blocks.drift)
+    diag = np.arange(size)
+    for n in range(N, 0, -1):
+        g[diag, diag] -= friction * n
+        lu, piv, info = dgetrf(g, overwrite_a=1)
+        _check_info(info, f"singular closure block at hermite level n={n}; "
+                          "raise n_hermite or check parameters")
+        inv, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=1)
+        _check_info(info, f"singular closure block at hermite level n={n}")
+        inverses[n] = inv
+        g = blocks.drift @ (inv @ blocks.d_q)
+        g *= -n
+    return HierarchyFactors(params=params, trunc=trunc, blocks=blocks,
+                            inverses=inverses, bottom=g)
 
 
 # ---------------------------------------------------------------------------
@@ -138,81 +180,102 @@ def downward_recursion(blocks: BlockSet, trunc: TruncationSpec) -> list[np.ndarr
 @dataclass(frozen=True)
 class StationaryDensity:
     """Hermite-Fourier coefficients R_n of rho(q,p) = rho_hat(p) sum R_n(q) H_n(p),
-    the drift U = <p>, and solve diagnostics."""
+    the drift U = <p>, solve diagnostics, and the hierarchy factors the
+    density was solved with (reused by :func:`solve_cell_problem`)."""
 
     field: HermiteFourierField
     drift: float
+    factors: HierarchyFactors = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def params(self) -> ModelParams:
+        return self.factors.params
 
-def _hierarchy_residual(levels: np.ndarray, plus, diag, minus, closure: str) -> float:
+    @property
+    def trunc(self) -> TruncationSpec:
+        return self.factors.trunc
+
+
+def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str) -> float:
+    """Largest residual of the density hierarchy rows n = 1..N as solved.
+
+    The top row carries the W-adjoint of the cell closure: nothing for
+    Dirichlet, sqrt(N+1) lift R_N for Neumann.
+    """
     N = levels.shape[0] - 1
-    top = np.zeros_like(levels[0]) if closure == "dirichlet" else levels[N]
-    res = 0.0
-    for n in range(1, N + 1):
-        nxt = levels[n + 1] if n < N else top
-        r = plus(n) @ levels[n - 1] + diag(n) @ levels[n] + minus(n) @ nxt
-        res = max(res, float(np.abs(r).max()))
-    return res
+    n = np.arange(1, N + 1)[:, None]
+    up = levels @ blocks.lift.T                  # lift R_n
+    above = np.zeros_like(levels[1:])            # d_q R_{n+1}, closed at the top
+    above[:-1] = levels[2:] @ blocks.d_q.T
+    if closure == "neumann":
+        above[-1] = up[N]
+    res = (np.sqrt(n) * up[:-1] + blocks.friction * n * levels[1:]
+           + np.sqrt(n + 1) * above)
+    return float(np.abs(res).max())
 
 
-def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec) -> StationaryDensity:
+def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
+                        blocks: HierarchyBlocks | None = None) -> StationaryDensity:
     """Stationary density and effective drift.
 
-    The hierarchy rows for levels n >= 1 are eliminated by the downward
-    recursion; the n = 0 row (constant probability flux) together with the
-    normalization  L * R_0^0 = 1  closes the remaining one-dimensional freedom.
+    Factors the cell hierarchy (:func:`factor_hierarchy`) and runs the
+    density hierarchy through the transposed inverses,
+    R_n = W^{-1} G_n^{-T} W sqrt(n) lift R_{n-1}.  The n = 0 row (constant
+    probability flux) together with the normalization  L * R_0^0 = 1  closes
+    the remaining one-dimensional freedom.  ``blocks`` lets a caller that
+    solves several truncations of one problem build them once.
     """
-    blocks = build_blocks(params, trunc)
+    factors = factor_hierarchy(params, trunc, blocks)
+    blocks = factors.blocks
     N = trunc.n_hermite
     L = params.potential.period
-    S = _downward(blocks.r_plus, blocks.r_diag, blocks.r_minus, N, trunc.closure)
+    w = blocks.metric
+    w_lift = w[:, None] * blocks.lift
 
-    K = blocks.d_q @ S[0]
+    S0 = factors.solve(1, w_lift, transpose=True) / w[:, None]   # R_1 = S0 R_0
+    K = blocks.d_q @ S0
     K[0, :] = 0.0
     K[0, 0] = 1.0
-    rhs = np.zeros(blocks.size)
+    rhs = np.zeros((blocks.size, 1))
     rhs[0] = 1.0 / L
-    try:
-        R0 = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("stationary solve is singular; raise n_hermite") from exc
+    _, _, R0, info = dgesv(K, rhs, overwrite_a=1)
+    _check_info(info, "stationary solve is singular; raise n_hermite")
 
     levels = np.empty((N + 1, blocks.size))
-    levels[0] = R0
-    for n in range(N):
-        levels[n + 1] = S[n] @ levels[n]
+    levels[0] = R0[:, 0]
+    levels[1] = S0 @ levels[0]
+    for n in range(2, N + 1):
+        b = w_lift @ levels[n - 1]
+        b *= np.sqrt(n)
+        levels[n] = factors.solve(n, b, transpose=True) / w
 
     drift = L * levels[1, 0] / np.sqrt(params.beta)
     scale = max(float(np.abs(levels).max()), 1e-300)
     diagnostics = {
         "top_level_ratio": float(np.abs(levels[N]).max()) / scale,
-        "hierarchy_residual": _hierarchy_residual(
-            levels, blocks.r_plus, blocks.r_diag, blocks.r_minus, trunc.closure
-        ) / scale,
+        "hierarchy_residual": _density_residual(levels, blocks, trunc.closure) / scale,
         "normalization_residual": abs(L * levels[0, 0] - 1.0),
         "flux_residual": float(np.abs(blocks.d_q @ levels[1]).max()) / scale,
     }
     fld = HermiteFourierField(levels, L, params.beta)
-    return StationaryDensity(field=fld, drift=drift, diagnostics=diagnostics)
+    return StationaryDensity(field=fld, drift=drift, factors=factors,
+                             diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # Cell problem
 # ---------------------------------------------------------------------------
 
-def _packed_pair_integral(x: np.ndarray, y: np.ndarray) -> float:
-    """(1/L) * int f g dq for packed vectors: 2 x.y - x_0 y_0."""
-    return 2.0 * float(x @ y) - float(x[0] * y[0])
-
-
 def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
                        density: StationaryDensity) -> HermiteFourierField:
     """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
 
-    The bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^-(Q_1+Q_1^-S_1)^{-1}A,
+    The bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,
     a rank-deficient system whose one-dimensional null direction is fixed by the
     discretized centering condition  sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0.
+    The factors come from ``density``, which must be solved for the same
+    params and truncation.
     """
     phi, _ = _solve_cell(params, trunc, density)
     return phi
@@ -220,25 +283,24 @@ def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
 
 def _solve_cell(params: ModelParams, trunc: TruncationSpec,
                 density: StationaryDensity) -> tuple[HermiteFourierField, dict]:
-    if density.field.n_hermite != trunc.n_hermite or density.field.n_fourier != trunc.n_fourier:
+    if density.trunc != trunc:
         raise ValueError("density truncation does not match trunc")
-    blocks = build_blocks(params, trunc)
+    if density.params != params:
+        raise ValueError("density was solved for other params")
+    factors = density.factors
+    blocks = factors.blocks
     N = trunc.n_hermite
     L = params.potential.period
     beta = params.beta
-    S = downward_recursion(blocks, trunc)
 
     size = blocks.size
     e0 = np.zeros(size)
     e0[0] = 1.0
-    A = -e0
+    # rows 0 and 1 carry the right-hand side: B on row 0, A = -e0 on row 1
     B = np.sqrt(beta) * density.drift * e0
-    try:
-        C1 = np.linalg.inv(blocks.q_diag(1) + blocks.q_minus(1) @ S[1])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular level-1 closure in cell problem") from exc
-    M0 = blocks.q_minus(0) @ S[0]
-    rhs0 = B - blocks.q_minus(0) @ (C1 @ A)
+    A = -e0
+    M0 = factors.bottom
+    rhs0 = B - blocks.drift @ factors.solve(1, A)       # Q_0^- = drift
 
     Um, sv, Vt = np.linalg.svd(M0)
     rank_tol = sv[0] * 1e-10
@@ -263,24 +325,24 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
     phi0_min = Vt.T @ (inv_sv * (Um.T @ rhs0))
     null_dir = Vt[-1]
 
-    particular = C1 @ A
-
-    def upward(phi0: np.ndarray, with_particular: bool) -> np.ndarray:
-        levels = np.empty((N + 1, size))
-        levels[0] = phi0
-        levels[1] = S[0] @ phi0 + (particular if with_particular else 0.0)
-        for n in range(1, N):
-            levels[n + 1] = S[n] @ levels[n]
-        return levels
+    # Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}) level by level: column 0
+    # grows the particular solution from phi0_min (rhs_1 = A), column 1 the
+    # homogeneous one from the null direction
+    lev = np.empty((N + 1, size, 2))
+    lev[0, :, 0] = phi0_min
+    lev[0, :, 1] = null_dir
+    for n in range(1, N + 1):
+        b = blocks.d_q @ lev[n - 1]
+        b *= -np.sqrt(n)
+        if n == 1:
+            b[:, 0] += A
+        lev[n] = factors.solve(n, b)
 
     R = density.field.coeffs
-    lev_star = upward(phi0_min, True)
-    lev_null = upward(null_dir, False)
-    c_star = sum(_packed_pair_integral(R[n], lev_star[n]) for n in range(N + 1))
-    c_null = sum(_packed_pair_integral(R[n], lev_null[n]) for n in range(N + 1))
+    c_star, c_null = np.einsum("ns,nsk->k", R * blocks.metric, lev)
     if abs(c_null) < 1e-14 * max(abs(c_star), 1.0):
         raise SolverError("centering condition degenerate along the null direction")
-    levels = lev_star - (c_star / c_null) * lev_null
+    levels = lev[:, :, 0] - (c_star / c_null) * lev[:, :, 1]
 
     diag = {"nullity": nullity, "solvability_defect": defect / rhs_scale}
     return HermiteFourierField(levels, L, beta), diag
@@ -319,6 +381,9 @@ def _trim_levels(coeffs: np.ndarray, rel: float = 1e-14) -> int:
     return int(keep[-1]) + 1 if keep.size else 1
 
 
+_IBP_CUTOFFS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
+
+
 def _gradient_squared_quadrature(density: StationaryDensity,
                                  phi: HermiteFourierField,
                                  params: ModelParams) -> tuple[float, float]:
@@ -328,7 +393,8 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     coefficient noise catastrophically, so the Gauss rule is restricted to
     |x| <= mu + c where mu covers the density's momentum support.  The cutoff
     c is scanned and the value read off the stability plateau; the plateau
-    spread is returned as a quality measure.
+    spread is returned as a quality measure.  The integrand is tabulated once,
+    on the widest cutoff, and each narrower one sums a subset of its rows.
     """
     beta, gamma = params.beta, params.gamma
     L = params.potential.period
@@ -350,16 +416,24 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     wq = np.full(n_q, L / n_q)
 
     mu = np.sqrt(beta) * max(abs(density.drift), abs(params.force) / gamma)
+    widest = np.abs(x) <= mu + _IBP_CUTOFFS[-1]
+    x, wp = x[widest], wp[widest]
+    H = hermite_table(n_eff - 1, x)
+    vd = H @ dphi @ ftab
+    vr = H @ Rt @ ftab
+    integrand = vd * vd * vr
     vals = []
-    for c in (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0):
+    for c in _IBP_CUTOFFS:
         keep = np.abs(x) <= mu + c
-        H = hermite_table(n_eff - 1, x[keep])
-        vd = H @ dphi @ ftab
-        vr = H @ Rt @ ftab
-        vals.append(gamma / beta * float((wp[keep] @ (vd * vd * vr)) @ wq))
+        vals.append(gamma / beta * float((wp[keep] @ integrand[keep]) @ wq))
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     best = int(np.argmin(diffs))
     return vals[best + 1], diffs[best]
+
+
+def _level_pairs(x: np.ndarray, y: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """(1/L) int x_n y_n dq for each level n of packed level stacks."""
+    return np.einsum("ns,ns->n", x * metric, y)
 
 
 def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
@@ -376,13 +450,9 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
     L = params.potential.period
     R, P = density.field.coeffs, phi.coeffs
     N = R.shape[0] - 1
-    d = 0.0
-    for n in range(N):
-        d += np.sqrt((n + 1) / beta) * (
-            _packed_pair_integral(R[n + 1], P[n])
-            + _packed_pair_integral(R[n], P[n + 1])
-        )
-    d_primary = L * d
+    metric = density.factors.blocks.metric
+    pairs = _level_pairs(R[1:], P[:-1], metric) + _level_pairs(R[:-1], P[1:], metric)
+    d_primary = L * float(np.sqrt(np.arange(1, N + 1) / beta) @ pairs)
 
     d_ibp, stability = _gradient_squared_quadrature(density, phi, params)
 
@@ -396,7 +466,7 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
         d_ibp_stability=stability,
         n_hermite=N,
         n_fourier=phi.n_fourier,
-        closure="dirichlet",
+        closure=density.trunc.closure,
         diagnostics=diagnostics,
     )
 
@@ -415,10 +485,11 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     relative to the field norm (needed in the small-friction regime, where the
     hierarchy decays slowly).
     """
+    blocks = hierarchy_blocks(params, trunc)
     cur = trunc
     while True:
         try:
-            density = solve_stationary_fp(params, cur)
+            density = solve_stationary_fp(params, cur, blocks=blocks)
             phi, cell_diag = _solve_cell(params, cur, density)
         except SolverError:
             # below a working truncation the hierarchy closure is often

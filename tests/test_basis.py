@@ -40,6 +40,15 @@ def test_hermite_orthonormality_by_quadrature():
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-13)
 
 
+def test_gibbs_hermite_table_finite_and_orthonormal_at_512():
+    # 1032 Gauss nodes: the bare polynomials overflow at the outer nodes and
+    # the weights underflow there
+    grid = GibbsQuadrature(_params(beta=5.0), 512, 4)
+    H = grid.hermite
+    assert np.all(np.isfinite(H))
+    assert np.abs(H.T @ H - np.eye(513)).max() <= 1e-12
+
+
 def test_hermite_eval_rejects_negative():
     with pytest.raises(ValueError):
         hermite_eval(-1, 0.0, 1.0)

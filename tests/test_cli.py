@@ -99,6 +99,19 @@ def test_expand_mode_columns_and_overlap(tmp_path, cos_config):
     assert abs(top["U_order_1"] - top["U_spectral"]) > 0.05 * abs(top["U_spectral"])
 
 
+def test_expand_at_512_levels_is_finite(tmp_path):
+    # the chain's quadrature uses 2N+8 = 1032 Gauss nodes here, where bare
+    # Hermite polynomials overflow
+    out = str(tmp_path / "e512.csv")
+    code = main(["expand", "--gamma", "1", "--n-hermite", "512", "--order", "9",
+                 "--count", "2", "--max", "0.2", "--out", out])
+    assert code == 0
+    rows = parse_report(out)
+    series = [k for k in rows[0] if k.startswith(("U_", "D_"))]
+    assert series and all(np.isfinite(r[k]) for r in rows for k in series)
+    assert rows[0]["D_full_order_1"] == pytest.approx(rows[0]["D_spectral"], rel=1e-9)
+
+
 def test_einstein_check_gap(tmp_path, cos_config):
     out = str(tmp_path / "g.csv")
     code = main(["einstein-check", "--config", cos_config, "--out", out,

@@ -6,8 +6,8 @@ import pytest
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec, packed_dq_matrix
 from washboard.expansion import assemble_generator
-from washboard.transport import (SolverError, build_blocks, compute_diffusion,
-                                 downward_recursion, solve_cell_problem,
+from washboard.transport import (SolverError, compute_diffusion, factor_hierarchy,
+                                 hierarchy_blocks, solve_cell_problem,
                                  solve_stationary_fp, solve_transport)
 
 
@@ -26,19 +26,24 @@ def _free(gamma=1.0, beta=1.0, force=1.0, period=2 * np.pi):
 # ---------------------------------------------------------------------------
 
 def test_diag_block_values():
-    blocks = build_blocks(_params(gamma=1.0, beta=1.0), TruncationSpec(8, 1))
-    assert np.abs(blocks.q_diag(0)).max() == 0.0
-    assert blocks.q_diag(2) == pytest.approx(-2.0 * np.eye(3))
+    # with the dirichlet closure the top Schur complement is the bare level-N
+    # diagonal block -gamma sqrt(beta) N; level 0 has none, so the bottom
+    # block annihilates constants
+    trunc = TruncationSpec(8, 1)
+    factors = factor_hierarchy(_params(gamma=1.0, beta=1.0), trunc)
+    eye = np.eye(3)
+    assert factors.solve(8, eye) == pytest.approx(-eye / 8.0, abs=1e-15)
+    assert np.abs(factors.bottom[:, 0]).max() == 0.0
 
 
 def test_free_particle_blocks_lose_potential_terms():
-    blocks = build_blocks(_free(force=0.0), TruncationSpec(8, 2))
-    # only the +-w_j rotation survives in the sub-diagonal blocks
-    assert blocks.q_minus(0) == pytest.approx(blocks.d_q)
-    assert blocks.q_minus(3) == pytest.approx(2.0 * blocks.d_q)
+    blocks = hierarchy_blocks(_free(force=0.0), TruncationSpec(8, 2))
+    # only the +-w_j rotation survives in the off-diagonal blocks
+    assert blocks.drift == pytest.approx(blocks.d_q)
+    assert blocks.lift == pytest.approx(blocks.d_q)
     # q_aa / q_bb corners (xi-xi and eta-eta) vanish without F and V0
     M = 2
-    T = blocks.d_q + blocks.beta * blocks.tilt_mult
+    T = blocks.drift
     assert np.abs(T[: M + 1, : M + 1]).max() == 0.0
     assert np.abs(T[M + 1 :, M + 1 :]).max() == 0.0
 
@@ -46,11 +51,11 @@ def test_free_particle_blocks_lose_potential_terms():
 def test_single_cosine_block_entries():
     # layout of the packed (xi, eta) coupling for V = V0 cos(w1 q) plus tilt
     beta, v0, F, L, M = 5.0, 1.0, 0.7, 1.0, 3
-    blocks = build_blocks(_params(beta=beta, force=F, v0=v0, period=L),
-                          TruncationSpec(8, M))
+    blocks = hierarchy_blocks(_params(beta=beta, force=F, v0=v0, period=L),
+                              TruncationSpec(8, M))
     w1 = 2 * np.pi / L
     c = beta * v0 * w1 / 2.0
-    T = blocks.d_q + beta * blocks.tilt_mult      # q_minus(n) / sqrt(n+1)
+    T = blocks.drift                              # Q_n^- / sqrt(n+1)
     w = [w1, 2 * w1, 3 * w1]
     expected_ab = np.array([
         [-2 * c, 0.0, 0.0],
@@ -67,58 +72,76 @@ def test_single_cosine_block_entries():
     assert T[M + 1 :, : M + 1] == pytest.approx(expected_ba, abs=1e-12)
     assert np.diag(T)[: M + 1] == pytest.approx(np.full(M + 1, beta * F))
     assert np.diag(T)[M + 1 :] == pytest.approx(np.full(M, beta * F))
+    assert blocks.lift == pytest.approx(2 * blocks.d_q - T, abs=1e-12)
 
 
 def test_block_n_scaling():
-    blocks = build_blocks(_params(force=0.4), TruncationSpec(8, 2))
-    assert blocks.q_plus(4) == pytest.approx(2.0 * blocks.q_plus(1))
-    assert blocks.q_minus(3) == pytest.approx(2.0 * blocks.q_minus(0))
-    assert blocks.r_plus(9) == pytest.approx(3.0 * blocks.r_plus(1))
-    assert blocks.q_diag(5) == pytest.approx(5.0 * blocks.q_diag(1))
+    # every n-dependence is an exact sqrt(n) / sqrt(n+1) / n scaling of the
+    # n-independent blocks: they rebuild the assembled -L row by row
+    params = _params(force=0.4)
+    trunc = TruncationSpec(8, 2)
+    blocks = hierarchy_blocks(params, trunc)
+    A = assemble_generator(params, trunc).toarray() * -np.sqrt(params.beta)
+    size = blocks.size
+
+    def block(m, n):
+        return A[m * size:(m + 1) * size, n * size:(n + 1) * size]
+
+    for n in (1, 4, 8):
+        assert block(n, n - 1) == pytest.approx(np.sqrt(n) * blocks.d_q, abs=1e-12)
+        assert block(n, n) == pytest.approx(-blocks.friction * n * np.eye(size))
+    for n in (0, 3, 7):
+        assert block(n, n + 1) == pytest.approx(np.sqrt(n + 1) * blocks.drift,
+                                                abs=1e-12)
 
 
 def test_potential_above_truncation_errors():
     pot = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.3))
     params = ModelParams(gamma=1.0, beta=1.0, force=0.0, potential=pot)
     with pytest.raises(ValueError):
-        build_blocks(params, TruncationSpec(8, 2))
+        hierarchy_blocks(params, TruncationSpec(8, 2))
+    with pytest.raises(ValueError):
+        solve_stationary_fp(params, TruncationSpec(8, 2))
 
 
 # ---------------------------------------------------------------------------
-# Downward recursion
+# Factorization
 # ---------------------------------------------------------------------------
+
+def _elimination(factors, n):
+    """S_n with Phi_{n+1} = S_n Phi_n: -sqrt(n+1) G_{n+1}^{-1} d_q."""
+    return -np.sqrt(n + 1) * factors.solve(n + 1, factors.blocks.d_q)
+
 
 def test_recursion_base_is_minus_qinv_qplus():
     params = _params(force=0.5)
     trunc = TruncationSpec(12, 3)
-    blocks = build_blocks(params, trunc)
-    S = downward_recursion(blocks, trunc)
+    factors = factor_hierarchy(params, trunc)
+    blocks = factors.blocks
     N = trunc.n_hermite
-    base = -np.linalg.solve(blocks.q_diag(N), blocks.q_plus(N))
-    assert S[N - 1] == pytest.approx(base, abs=1e-12)
+    q_diag = -blocks.friction * N * np.eye(blocks.size)
+    base = -np.linalg.solve(q_diag, np.sqrt(N) * blocks.d_q)
+    assert _elimination(factors, N - 1) == pytest.approx(base, abs=1e-12)
 
 
 def test_recursion_base_free_particle_structure():
     # V0 = 0, F = 0: S_{N-1} = d_q / (gamma sqrt(beta N)); first row/col vanish
     params = _free(gamma=1.0, beta=1.0, force=0.0)
     trunc = TruncationSpec(16, 1)
-    blocks = build_blocks(params, trunc)
-    S = downward_recursion(blocks, trunc)
+    factors = factor_hierarchy(params, trunc)
     N = trunc.n_hermite
-    assert S[N - 1] == pytest.approx(packed_dq_matrix(1, 2 * np.pi) / np.sqrt(N),
-                                     abs=1e-13)
-    assert np.abs(S[N - 1][0, :]).max() == 0.0
-    assert np.abs(S[N - 1][:, 0]).max() == 0.0
+    S = _elimination(factors, N - 1)
+    assert S == pytest.approx(packed_dq_matrix(1, 2 * np.pi) / np.sqrt(N), abs=1e-13)
+    assert np.abs(S[0, :]).max() == 0.0
+    assert np.abs(S[:, 0]).max() == 0.0
 
 
 def test_recursion_truncation_consistency():
     # S_0 is insensitive to adding 20 more levels once the tail has converged
     params = _params(gamma=1.0, beta=5.0, force=0.5, v0=1.0, period=1.0)
-    t1 = TruncationSpec(160, 16)
-    t2 = TruncationSpec(180, 16)
-    S1 = downward_recursion(build_blocks(params, t1), t1)
-    S2 = downward_recursion(build_blocks(params, t2), t2)
-    assert np.linalg.norm(S1[0] - S2[0]) < 1e-10
+    S1 = _elimination(factor_hierarchy(params, TruncationSpec(160, 16)), 0)
+    S2 = _elimination(factor_hierarchy(params, TruncationSpec(180, 16)), 0)
+    assert np.linalg.norm(S1 - S2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +176,28 @@ def test_stationary_gibbs_at_zero_tilt():
     for k in range(1, 8):
         assert R[0, k] == pytest.approx(ck[k].real, rel=1e-10, abs=1e-12)
     assert abs(density.diagnostics["normalization_residual"]) < 1e-12
+
+
+def test_tilted_density_is_w_adjoint_null_vector():
+    # the density hierarchy is -(cell hierarchy)^dagger in W = diag(1, 2, .., 2):
+    # A^T W R = 0 for A the assembled -L
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    trunc = TruncationSpec(160, 16)
+    R = solve_stationary_fp(params, trunc).field.coeffs
+    A = assemble_generator(params, trunc)
+    metric = np.full(2 * trunc.n_fourier + 1, 2.0)
+    metric[0] = 1.0
+    res = A.T @ (R * metric).reshape(-1)
+    assert np.abs(res).max() <= 1e-10 * np.abs(R).max()
+
+
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+def test_density_residual_is_for_the_solved_closure(closure):
+    # N = 12 leaves the top levels large, so a residual taken with another
+    # top row than the one solved would read about 2e-2
+    density = solve_stationary_fp(_params(force=0.5), TruncationSpec(12, 16, closure))
+    assert density.diagnostics["top_level_ratio"] > 1e-4
+    assert density.diagnostics["hierarchy_residual"] <= 1e-12
 
 
 def test_stationary_mc_cross_check():
@@ -213,6 +258,15 @@ def test_density_mismatch_rejected():
     density = solve_stationary_fp(params, TruncationSpec(24, 8))
     with pytest.raises(ValueError):
         solve_cell_problem(params, TruncationSpec(32, 8), density)
+    with pytest.raises(ValueError):
+        solve_cell_problem(params, TruncationSpec(24, 8, "neumann"), density)
+
+
+def test_density_for_other_params_rejected():
+    trunc = TruncationSpec(24, 8)
+    density = solve_stationary_fp(_params(force=0.3), trunc)
+    with pytest.raises(ValueError, match="other params"):
+        solve_cell_problem(_params(force=0.4), trunc, density)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +285,31 @@ def test_free_particle_diffusion_exact():
 def test_free_particle_dl_value():
     res = solve_transport(_free(2.0, 5.0, 1.0), TruncationSpec(40, 1))
     assert res.d_primary == pytest.approx(0.1, rel=1e-10)
+
+
+def test_pairing_matches_level_loop():
+    # reference: the pairing formula summed level by level
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    trunc = TruncationSpec(120, 16)
+    density = solve_stationary_fp(params, trunc)
+    phi = solve_cell_problem(params, trunc, density)
+    R, P = density.field.coeffs, phi.coeffs
+
+    def pair(x, y):
+        return 2.0 * float(x @ y) - float(x[0] * y[0])
+
+    d = sum(math.sqrt((n + 1) / params.beta) * (pair(R[n + 1], P[n]) + pair(R[n], P[n + 1]))
+            for n in range(trunc.n_hermite))
+    res = compute_diffusion(density, phi, params)
+    assert res.d_primary == pytest.approx(params.potential.period * d, rel=1e-12)
+
+
+def test_compute_diffusion_reports_solved_closure():
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    trunc = TruncationSpec(64, 16, "neumann")
+    density = solve_stationary_fp(params, trunc)
+    phi = solve_cell_problem(params, trunc, density)
+    assert compute_diffusion(density, phi, params).closure == "neumann"
 
 
 def test_dual_formula_agreement():
