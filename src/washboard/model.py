@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Harmonic",
     "PeriodicPotential",
     "ModelParams",
     "ReferenceScales",
@@ -25,6 +28,21 @@ __all__ = [
 
 def _as_float_tuple(xs) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
+
+
+def _scalar(x: float) -> np.ndarray:
+    """x as a read-only 0-d array, which ufuncs take faster than a float (same bits)."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class Harmonic(NamedTuple):
+    """One nonzero term a*cos(k w1 q) or a*sin(k w1 q) of a potential, as 0-d arrays."""
+
+    freq: np.ndarray    # k*w1
+    coeff: np.ndarray   # a, the coefficient in V
+    slope: np.ndarray   # a*k*w1, the amplitude of the term's derivative
 
 
 @dataclass(frozen=True)
@@ -74,30 +92,57 @@ class PeriodicPotential:
                 k = max(k, i + 1)
         return k
 
+    @cached_property
+    def harmonics(self) -> tuple[tuple[Harmonic, ...], tuple[Harmonic, ...]]:
+        """Nonzero (cosine, sine) terms in summation order, built once per instance.
+
+        Not a dataclass field, so equality, hashing, repr and ``replace`` see
+        only the coefficients.
+        """
+        w1 = self.omega1
+
+        def terms(coeffs):
+            return tuple(Harmonic(_scalar(k * w1), _scalar(a), _scalar(a * k * w1))
+                         for k, a in enumerate(coeffs, start=1) if a != 0.0)
+
+        return terms(self.cos_coeffs), terms(self.sin_coeffs)
+
     def evaluate(self, q):
         """V(q), vectorized over q."""
         q = np.asarray(q, dtype=float)
         out = np.full_like(q, self.offset, dtype=float)
-        w1 = self.omega1
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            if c != 0.0:
-                out = out + c * np.cos(k * w1 * q)
-        for k, s in enumerate(self.sin_coeffs, start=1):
-            if s != 0.0:
-                out = out + s * np.sin(k * w1 * q)
+        cos_terms, sin_terms = self.harmonics
+        for h in cos_terms:
+            out = out + h.coeff * np.cos(h.freq * q)
+        for h in sin_terms:
+            out = out + h.coeff * np.sin(h.freq * q)
         return out
 
-    def derivative(self, q):
-        """V'(q), the exact term-by-term derivative."""
+    def derivative(self, q, out=None, work=None):
+        """V'(q), the exact term-by-term derivative.
+
+        A caller that steps many times passes ``out`` and ``work``, float
+        arrays of q's shape: V'(q) is then written into ``out`` and no array
+        is allocated.  The bits are the same either way.
+        """
         q = np.asarray(q, dtype=float)
-        out = np.zeros_like(q, dtype=float)
-        w1 = self.omega1
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            if c != 0.0:
-                out = out - c * k * w1 * np.sin(k * w1 * q)
-        for k, s in enumerate(self.sin_coeffs, start=1):
-            if s != 0.0:
-                out = out + s * k * w1 * np.cos(k * w1 * q)
+        if out is None:
+            out = np.zeros_like(q)
+        else:
+            out.fill(0.0)
+        if work is None:
+            work = np.empty_like(q)
+        cos_terms, sin_terms = self.harmonics
+        for h in cos_terms:          # out -= slope * sin(freq * q)
+            np.multiply(q, h.freq, out=work)
+            np.sin(work, out=work)
+            work *= h.slope
+            out -= work
+        for h in sin_terms:          # out += slope * cos(freq * q)
+            np.multiply(q, h.freq, out=work)
+            np.cos(work, out=work)
+            work *= h.slope
+            out += work
         return out
 
     def is_symmetric(self) -> bool:

@@ -1,7 +1,13 @@
 """Euler-Maruyama ensemble estimation of the drift and diffusion coefficients.
 
 Integrates  dq = p dt,  dp = (-V'(q) + F - gamma p) dt + sqrt(2 gamma/beta) dW
-for an ensemble of trajectories and estimates
+for an ensemble of trajectories with the semi-implicit (symplectic)
+Euler-Maruyama scheme: each step updates p first and then q with the new p,
+
+    p <- p + ((-V'(q) + F) - gamma p) dt + sqrt(2 gamma dt/beta) xi,
+    q <- q + p dt,
+
+and estimates
 
     U ~ mean_k[q_k(T) - q_k(T0)] / (T - T0)
     D ~ var_k [q_k(T) - q_k(T0)] / (2 (T - T0))
@@ -22,7 +28,8 @@ from .model import ModelParams
 
 __all__ = ["McConfig", "McEstimate", "simulate", "estimate_with_error_target"]
 
-_CHUNK = 4096   # steps per noise block; no effect on results
+_CHUNK = 1024   # steps of noise drawn at a time; no effect on results
+_BLOCK = 64     # trajectories per block of the noise transpose; no effect either
 
 
 @dataclass(frozen=True)
@@ -86,24 +93,46 @@ def simulate(config: McConfig) -> McEstimate:
     q = np.array([g.uniform(0.0, L) for g in gens])
     p = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens])
 
-    q_mark = q.copy() if config.n_burnin == 0 else None
+    # Scalars go in as 0-d arrays, which ufuncs take faster than Python
+    # floats (same bits).
+    force_, gamma_, dt_ = np.array(force), np.array(gamma), np.array(dt)
+
+    n = config.n_traj
+    q_mark = np.empty(n)
+    acc = np.empty(n)
+    work = np.empty(n)
+    draws = np.empty((min(_BLOCK, n), _CHUNK))
+    noise = np.empty((_CHUNK, n))     # step-major: row t holds step t's kicks
     step = 0
-    xi = np.empty((config.n_traj, _CHUNK))
-    while step < config.n_steps:
-        span = min(_CHUNK, config.n_steps - step)
-        for k, g in enumerate(gens):
-            xi[k, :span] = g.standard_normal(span)
-        for t in range(span):
-            if step + t == config.n_burnin and q_mark is None:
-                q_mark = q.copy()
-            p += (-pot.derivative(q) + force - gamma * p) * dt + noise_amp * xi[:, t]
-            q += p * dt
-        step += span
-        if not np.all(np.isfinite(q)):
-            bad = int(np.nonzero(~np.isfinite(q))[0][0])
-            raise FloatingPointError(
-                f"trajectory {bad} diverged (non-finite q); reduce dt"
-            )
+    # A diverging path overflows mid-chunk; the check after the chunk names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < config.n_steps:
+            span = min(_CHUNK, config.n_steps - step)
+            for k0 in range(0, n, _BLOCK):
+                block = draws[:min(_BLOCK, n - k0), :span]
+                for row, g in zip(block, gens[k0:k0 + _BLOCK]):
+                    g.standard_normal(out=row)
+                np.multiply(block.T, noise_amp, out=noise[:span, k0:k0 + _BLOCK])
+            mark = config.n_burnin - step
+            for t in range(span):
+                if t == mark:
+                    q_mark[:] = q
+                # p += ((-V'(q) + F) - gamma p) dt + amp xi;  q += p dt
+                pot.derivative(q, out=acc, work=work)
+                np.subtract(force_, acc, out=acc)     # F - V' == -V' + F
+                np.multiply(p, gamma_, out=work)
+                acc -= work
+                acc *= dt_
+                acc += noise[t]
+                p += acc
+                np.multiply(p, dt_, out=work)
+                q += work
+            step += span
+            if not np.all(np.isfinite(q)):
+                bad = int(np.nonzero(~np.isfinite(q))[0][0])
+                raise FloatingPointError(
+                    f"trajectory {bad} diverged (non-finite q); reduce dt"
+                )
 
     horizon = (config.n_steps - config.n_burnin) * dt
     disp = q - q_mark

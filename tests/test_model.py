@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,3 +121,67 @@ def test_offset_ignored_by_derivative():
     q = np.linspace(0, 1, 9)
     assert b.derivative(q) == pytest.approx(a.derivative(q))
     assert b.evaluate(0.0) == pytest.approx(6.0)
+
+
+def _reference_evaluate(pot, q):
+    # term-by-term loop over the coefficients, summed in the library's order
+    out = np.full_like(q, pot.offset)
+    w1 = pot.omega1
+    for k, c in enumerate(pot.cos_coeffs, start=1):
+        if c != 0.0:
+            out = out + c * np.cos(k * w1 * q)
+    for k, s in enumerate(pot.sin_coeffs, start=1):
+        if s != 0.0:
+            out = out + s * np.sin(k * w1 * q)
+    return out
+
+
+def _reference_derivative(pot, q):
+    out = np.zeros_like(q)
+    w1 = pot.omega1
+    for k, c in enumerate(pot.cos_coeffs, start=1):
+        if c != 0.0:
+            out = out - c * k * w1 * np.sin(k * w1 * q)
+    for k, s in enumerate(pot.sin_coeffs, start=1):
+        if s != 0.0:
+            out = out + s * k * w1 * np.cos(k * w1 * q)
+    return out
+
+
+@pytest.mark.parametrize("pot", [
+    PeriodicPotential(period=1.7, cos_coeffs=(0.7, 0.0, 0.0, -0.2, 0.0, 0.05),
+                      sin_coeffs=(0.0, 0.3, 0.0, 0.1), offset=-2.25),
+    PeriodicPotential(period=2 * np.pi, sin_coeffs=(0.0, 1.3, 0.0, 0.4)),
+    PeriodicPotential(period=0.9, cos_coeffs=(0.0, 0.0), sin_coeffs=(0.0,),
+                      offset=0.5),
+    PeriodicPotential(period=3.0),
+])
+def test_harmonic_table_bit_identical_to_term_loop(pot):
+    q = np.linspace(-7.3, 11.1, 257)
+    assert np.array_equal(pot.evaluate(q), _reference_evaluate(pot, q))
+    assert np.array_equal(pot.derivative(q), _reference_derivative(pot, q))
+    out, work = np.full_like(q, np.nan), np.full_like(q, np.nan)
+    assert pot.derivative(q, out=out, work=work) is out
+    assert np.array_equal(out, _reference_derivative(pot, q))
+    cos_terms, sin_terms = pot.harmonics
+    nonzero = [c for c in (*pot.cos_coeffs, *pot.sin_coeffs) if c != 0.0]
+    assert [h.coeff for h in (*cos_terms, *sin_terms)] == nonzero
+    if not nonzero:
+        assert np.array_equal(pot.derivative(q), np.zeros_like(q))
+        assert np.array_equal(pot.evaluate(q), np.full_like(q, pot.offset))
+
+
+def test_harmonic_table_outside_dataclass_identity():
+    a = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.2), sin_coeffs=(0.3,))
+    b = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.2), sin_coeffs=(0.3,))
+    text = repr(a)
+    assert a.harmonics is a.harmonics            # built once per instance
+    assert a == b and hash(a) == hash(b)         # b has built no table yet
+    assert repr(a) == text == repr(b)
+    assert "harmonics" not in text
+    c = replace(a, cos_coeffs=(2.0,))
+    assert c != a
+    assert [h.coeff for h in c.harmonics[0]] == [2.0]
+    assert c.harmonics[1] == a.harmonics[1]
+    q = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(c.derivative(q), _reference_derivative(c, q))

@@ -1,9 +1,9 @@
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
+from washboard import montecarlo
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec
 from washboard.montecarlo import (McConfig, estimate_with_error_target, simulate)
@@ -94,13 +94,65 @@ def test_timestep_bias_shrinks():
 
 
 def test_divergence_reports_trajectory():
-    params = _cos151(0.0)
-    config = McConfig(dt=0.01, n_steps=200, n_burnin=10, n_traj=8, seed=0,
+    # A real overflow, not a mocked force: under the suite's
+    # error::RuntimeWarning filter it must still surface as the documented error.
+    params = ModelParams(gamma=0.5, beta=1.0, force=1e308,
+                         potential=PeriodicPotential(period=2 * np.pi))
+    config = McConfig(dt=0.01, n_steps=2000, n_burnin=0, n_traj=4, seed=0,
                       params=params)
-    with mock.patch.object(PeriodicPotential, "derivative",
-                           lambda self, q: np.full_like(q, np.nan)):
-        with pytest.raises(FloatingPointError, match="trajectory 0"):
-            simulate(config)
+    with pytest.raises(FloatingPointError, match="trajectory 0"):
+        simulate(config)
+
+
+def _multi(force):
+    return ModelParams(gamma=0.7, beta=2.0, force=force,
+                       potential=PeriodicPotential(period=2.0,
+                                                   cos_coeffs=(0.8, 0.0, -0.3),
+                                                   sin_coeffs=(0.0, 0.25, 0.1),
+                                                   offset=1.5))
+
+
+# Exact estimates of the step loop as it summed before the harmonic table and
+# the in-place kernel (n_steps=5000 is not a multiple of the noise chunk).
+_GOLDEN = [
+    (_cos151(1.0), 0,
+     (0.005381204064844809, 0.015708601091201792, 0.006266697912617496,
+      0.011173725497915439, 16)),
+    (_cos151(1.0), 300,
+     (0.0026924897776085107, 0.0017732482067112127, 0.0021716550499899477,
+      0.0013977395604911802, 16)),
+    (_multi(0.6), 0,
+     (0.1010138171592515, 0.21395686706321915, 0.023127735895630764,
+      0.0693842232220525, 16)),
+    (_multi(-0.4), 123,
+     (-0.020179258768436317, 0.09213197935431597, 0.01536681381983051,
+      0.06458117788837009, 16)),
+    (_free(gamma=0.5, force=2.0), 0,
+     (3.8032655511635163, 1.7648638771538456, 0.06642408970309352,
+      0.44831184124028595, 16)),
+    (_free(gamma=0.5, force=2.0), 77,
+     (3.8514979091449555, 1.8312528891463147, 0.0681889887812343,
+      0.47465607203479526, 16)),
+]
+
+
+@pytest.mark.parametrize("params, burnin, expected", _GOLDEN)
+def test_estimates_bit_pinned(params, burnin, expected):
+    est = simulate(McConfig(dt=0.01, n_steps=5000, n_burnin=burnin, n_traj=16,
+                            seed=7, params=params))
+    assert (est.u_hat, est.d_hat, est.stderr_u, est.stderr_d,
+            est.n_traj_used) == expected
+
+
+@pytest.mark.parametrize("params", [_cos151(1.0), _multi(0.6)])
+def test_chunk_size_has_no_effect(monkeypatch, params):
+    config = McConfig(dt=0.01, n_steps=600, n_burnin=50, n_traj=10, seed=3,
+                      params=params)
+    reference = simulate(config)
+    for size in (1, 7, 4096):
+        monkeypatch.setattr(montecarlo, "_CHUNK", size)
+        monkeypatch.setattr(montecarlo, "_BLOCK", size)
+        assert simulate(config) == reference
 
 
 def test_error_target_free_particle():
