@@ -208,6 +208,15 @@ def run_sweep(point_fn, values, workers: int = 1) -> list[dict]:
     return [row for _, row in results]
 
 
+def _sweep_rows(point_fn, values, workers: int, column: str) -> list[dict]:
+    """:func:`run_sweep`, with a failed point's row also carrying its swept
+    value under ``column`` (the column a successful row reports it in)."""
+    rows = run_sweep(point_fn, values, workers)
+    for row, v in zip(rows, values):
+        row.setdefault(column, float(v))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Subcommand engines
 # ---------------------------------------------------------------------------
@@ -257,7 +266,8 @@ def cmd_transport(cfg: dict, out: str) -> int:
                               potential=params.potential))
         return _transport_point(p, trunc, bool(cfg["adaptive"]), scale)
 
-    rows = run_sweep(point, values, int(cfg["workers"]))
+    rows = _sweep_rows(point, values, int(cfg["workers"]),
+                       "F" if var == "force" else "gamma")
     cols = _TRANSPORT_COLS + (_SCALED_COLS if scale else [])
     emit_report(rows, out, cols)
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -291,7 +301,7 @@ def cmd_expand(cfg: dict, out: str) -> int:
                                                        "naive_einstein")
         return row
 
-    rows = run_sweep(point, values, int(cfg["workers"]))
+    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
     cols = ["F", "U_spectral", "D_spectral", "f_radius_est"]
     cols += [f"U_order_{o}" for o in orders]
     for o in orders:
@@ -322,7 +332,7 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
                 "D_O_linear_form": od.diffusion_linear_form,
                 "form_gap": od.residuals["form_gap"]}
 
-    rows = run_sweep(point, values, int(cfg["workers"]))
+    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
     emit_report(rows, out, ["F", "U_O", "U_O_quadrature", "drift_rel_gap",
                             "D_O", "D_O_linear_form", "form_gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -345,7 +355,7 @@ def cmd_mc(cfg: dict, out: str) -> int:
                 "stderr_U": est.stderr_u, "stderr_D": est.stderr_d,
                 "n_traj": est.n_traj_used}
 
-    rows = run_sweep(point, values, workers=1)   # trajectories already vectorized
+    rows = _sweep_rows(point, values, 1, var)   # trajectories already vectorized
     emit_report(rows, out, [var, "U_hat", "D_hat", "stderr_U", "stderr_D",
                             "n_traj", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -373,7 +383,7 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
         return {"F": F, "D_spectral": res.d_primary, "beta_inv_dUdF": naive,
                 "gap": res.d_primary - naive}
 
-    rows = run_sweep(point, values, int(cfg["workers"]))
+    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
     emit_report(rows, out, ["F", "D_spectral", "beta_inv_dUdF", "gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
 
@@ -382,7 +392,7 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-def _fig12_cfg(gamma: float) -> dict:
+def _fig1_cfg(gamma: float) -> dict:
     v0 = float(np.pi ** 2 / 16.0)
     fc = 3.36 * gamma * np.sqrt(v0)
     n0 = 256 if gamma < 0.05 else 64
@@ -409,8 +419,7 @@ def _fig345_cfg(gamma: float, mode_order: int | None = None) -> dict:
 
 
 FIG_PRESETS = {
-    "fig1": [("transport", _fig12_cfg(g), f"gamma{g}") for g in (0.01, 0.1, 1.0)],
-    "fig2": [("transport", _fig12_cfg(g), f"gamma{g}") for g in (0.01, 0.1, 1.0)],
+    "fig1": [("transport", _fig1_cfg(g), f"gamma{g}") for g in (0.01, 0.1, 1.0)],
     "fig3": [("transport", _merge(_fig345_cfg(g), {"sweep": {"max": 4.0, "count": 17}}),
               f"gamma{g}") for g in (0.5, 5.0, 10.0)],
     "fig4": [("expand", _merge(_fig345_cfg(1.0, 9), {"orders": [1, 5, 9]}), "gamma1"),

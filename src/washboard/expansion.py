@@ -35,10 +35,8 @@ from .basis import (
     TruncationSpec,
     apply_lower,
     apply_raise,
-    packed_dq_matrix,
-    packed_mult_matrix,
 )
-from .transport import SolverError
+from .transport import SolverError, hierarchy_blocks
 
 __all__ = [
     "EquilibriumChain",
@@ -65,40 +63,50 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec,
 
     Level m couples to m-1 and m+1 through d/dq and the tilt drift; the
     Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  The
-    adjoint flips the sign of the transport (antisymmetric) part.
+    adjoint flips the sign of the transport (antisymmetric) part.  With
+    sgn = -1 for the adjoint and +1 otherwise, and d_q, T the blocks of
+    :func:`~washboard.transport.hierarchy_blocks`, the blocks of level m are
+
+        sub-diagonal    (-sgn sqrt(m/beta)) d_q
+        diagonal        gamma m I
+        super-diagonal  (-sgn sqrt((m+1)/beta)) d_q - (sgn sqrt(beta (m+1))) T
+
+    All levels are assembled in one COO pass.  The stored structure is part of
+    the contract, because splu's COLAMD ordering depends on which entries are
+    stored: every diagonal entry is stored, level 0's zeros included, and an
+    off-diagonal entry is stored exactly when its value is nonzero, so a
+    super-diagonal entry whose two terms cancel is not.  Each value is the
+    same floating-point expression, evaluated in the same order, as in a
+    block-by-block build, so ``indptr``, ``indices`` and ``data`` equal that
+    build's bit for bit (for finite level factors, i.e. beta (N+1) below
+    the float range).
     """
-    trunc.check_potential(params.potential)
+    blocks = hierarchy_blocks(params, trunc)
     if adjoint and params.force != 0.0:
         raise ValueError("adjoint generator is only used for the F = 0 chain")
-    N, M = trunc.n_hermite, trunc.n_fourier
-    L = params.potential.period
-    beta, gamma = params.beta, params.gamma
-    d_q = packed_dq_matrix(M, L)
-    W = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
-    sgn = -1.0 if adjoint else 1.0
-    size = 2 * M + 1
-    eye = sp.identity(size, format="csr")
-
-    diag_blocks = []
-    sub_blocks = []
-    sup_blocks = []
-    for m in range(N + 1):
-        diag_blocks.append(gamma * m * eye)
-        if m >= 1:
-            sub_blocks.append(sp.csr_matrix(-sgn * np.sqrt(m / beta) * d_q))
-        if m < N:
-            sup = -sgn * np.sqrt((m + 1) / beta) * d_q - sgn * np.sqrt(beta * (m + 1)) * W
-            sup_blocks.append(sp.csr_matrix(sup))
-    rows = []
-    for m in range(N + 1):
-        row = [None] * (N + 1)
-        row[m] = diag_blocks[m]
-        if m >= 1:
-            row[m - 1] = sub_blocks[m - 1]
-        if m < N:
-            row[m + 1] = sup_blocks[m]
-        rows.append(row)
-    return sp.bmat(rows, format="csr")
+    N, size = trunc.n_hermite, blocks.size
+    n = (N + 1) * size
+    beta, sgn = params.beta, (-1.0 if adjoint else 1.0)
+    d_q, tilt = blocks.d_q, blocks.tilt
+    lower = size * np.arange(N)[:, None]   # first row of levels 0..N-1
+    upper = lower + size                   # first row of levels 1..N
+    up = np.arange(1, N + 1)
+    # a[m-1] scales d_q in the sub-block of level m and the super-block of m-1
+    a = (-sgn * np.sqrt(up / beta))[:, None]
+    b = (sgn * np.sqrt(beta * up))[:, None]
+    i_d, j_d = np.nonzero(d_q)
+    i_u, j_u = np.nonzero((d_q != 0) | (tilt != 0))
+    diag = np.arange(n)
+    rows = np.concatenate([diag, (upper + i_d).ravel(), (lower + i_u).ravel()])
+    cols = np.concatenate([diag, (lower + j_d).ravel(), (upper + j_u).ravel()])
+    vals = np.concatenate([
+        np.repeat(params.gamma * np.arange(N + 1), size),
+        (a * d_q[i_d, j_d]).ravel(),
+        (a * d_q[i_u, j_u] - b * tilt[i_u, j_u]).ravel(),
+    ])
+    keep = vals != 0
+    keep[:n] = True   # the diagonal is stored even where gamma*m is 0
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def _gibbs_q_packed(params: ModelParams, n_fourier: int) -> np.ndarray:

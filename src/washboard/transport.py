@@ -75,8 +75,8 @@ def _check_info(info: int, message: str) -> None:
 class HierarchyBlocks:
     """The n-independent blocks of both level hierarchies.
 
-    ``d_q`` is the packed d/dq matrix and T the packed multiplication by
-    (F - V'(q)).  Row n of the cell hierarchy for phi is
+    ``d_q`` is the packed d/dq matrix and ``tilt`` T the packed multiplication
+    by (F - V'(q)).  Row n of the cell hierarchy for phi is
 
         sqrt(n) d_q Phi_{n-1} - gamma sqrt(beta) n Phi_n
             + sqrt(n+1) drift Phi_{n+1},        drift = d_q + beta T,
@@ -92,6 +92,7 @@ class HierarchyBlocks:
 
     friction: float
     d_q: np.ndarray
+    tilt: np.ndarray
     drift: np.ndarray
     lift: np.ndarray
     metric: np.ndarray
@@ -111,7 +112,7 @@ def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlo
     metric = np.full(2 * M + 1, 2.0)
     metric[0] = 1.0
     return HierarchyBlocks(friction=params.gamma * np.sqrt(params.beta), d_q=d_q,
-                           drift=d_q + params.beta * tilt,
+                           tilt=tilt, drift=d_q + params.beta * tilt,
                            lift=d_q - params.beta * tilt, metric=metric)
 
 

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from washboard.cli import emit_report, main, parse_report
+from washboard.cli import FIG_PRESETS, emit_report, main, parse_report
+from washboard.model import PeriodicPotential
+from washboard.overdamped import stratonovich_drift
 
 
 @pytest.fixture
@@ -178,6 +180,25 @@ def test_numerical_error_exit_code_and_error_column(tmp_path):
     assert code == 2
     rows = parse_report(out)
     assert all(r["error"] for r in rows)
+    assert [r["F"] for r in rows] == [0.0, 1.0]
+
+
+def test_failed_mc_row_keeps_its_force(tmp_path):
+    cfg = {
+        "gamma": 0.5, "beta": 1.0,
+        "potential": {"L": 6.283185307179586, "cos": []},
+        "mc": {"dt": 0.01, "n_steps": 2000, "n_burnin": 0, "n_traj": 4, "seed": 0},
+    }
+    path = str(tmp_path / "m.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    out = str(tmp_path / "m.csv")
+    code = main(["mc", "--config", path, "--out", out, "--var", "force",
+                 "--min", "1e308", "--max", "1e308", "--count", "1"])
+    assert code == 2
+    [row] = parse_report(out)
+    assert row["force"] == 1e308
+    assert row["error"].startswith("FloatingPointError: trajectory 0 diverged")
 
 
 def test_fig_preset_smoke(tmp_path):
@@ -188,14 +209,23 @@ def test_fig_preset_smoke(tmp_path):
     assert len(rows) == 10
     gammas = [r["gamma"] for r in rows]
     assert gammas == sorted(gammas)
-    # drift decays roughly like U_O/gamma at large friction
-    assert rows[-1]["U"] == pytest.approx(rows[-1]["U"], rel=0)
+    # drift decays like U_O/gamma at large friction
+    assert rows[-1]["gamma"] == 50.0
+    u_o = stratonovich_drift(PeriodicPotential.cosine(1.0, 1.0), 5.0, 0.5)
+    assert 50.0 * rows[-1]["U"] == pytest.approx(u_o, rel=0.03)
     assert rows[0]["U"] > rows[-1]["U"] > 0
 
 
 def test_unknown_preset_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["fig", "fig99", "--out", str(tmp_path / "f.csv")])
+
+
+def test_fig2_is_not_a_preset(tmp_path):
+    # fig2 was a copy of fig1 and computed it a second time
+    assert "fig2" not in FIG_PRESETS
+    with pytest.raises(SystemExit):
+        main(["fig", "fig2", "--out", str(tmp_path / "f.csv")])
 
 
 def test_console_entry_point(tmp_path, flat_config):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import HermiteFourierField, TruncationSpec, apply_lower
-from washboard.expansion import (EquilibriumPoissonSolver, build_chain,
+from washboard.basis import (HermiteFourierField, TruncationSpec, apply_lower,
+                             packed_dq_matrix, packed_mult_matrix)
+from washboard.expansion import (EquilibriumPoissonSolver, assemble_generator,
+                                 build_chain,
                                  diffusion_coefficients, partial_sum_D,
                                  partial_sum_U, series_radius_estimate,
                                  solve_equilibrium_poisson, velocity_coefficient)
-from washboard.transport import SolverError, solve_transport
+from washboard.transport import SolverError, hierarchy_blocks, solve_transport
 
 
 def _params(gamma=1.0, beta=5.0, v0=1.0, period=1.0):
@@ -37,6 +40,98 @@ def _reflect(field: HermiteFourierField) -> HermiteFourierField:
 def chain151():
     """Workhorse chain at gamma=1, V0=1, beta=5, L=1, order 9."""
     return build_chain(_params(), TruncationSpec(120, 24), 9)
+
+
+# ---------------------------------------------------------------------------
+# Operator assembly
+# ---------------------------------------------------------------------------
+
+def _block_generator(params, trunc, adjoint=False):
+    """Reference -L built level block by level block and glued by sp.bmat."""
+    N, M = trunc.n_hermite, trunc.n_fourier
+    L = params.potential.period
+    beta, gamma = params.beta, params.gamma
+    d_q = packed_dq_matrix(M, L)
+    W = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
+    sgn = -1.0 if adjoint else 1.0
+    eye = sp.identity(2 * M + 1, format="csr")
+    rows = []
+    for m in range(N + 1):
+        row = [None] * (N + 1)
+        row[m] = gamma * m * eye
+        if m >= 1:
+            row[m - 1] = sp.csr_matrix(-sgn * np.sqrt(m / beta) * d_q)
+        if m < N:
+            row[m + 1] = sp.csr_matrix(-sgn * np.sqrt((m + 1) / beta) * d_q
+                                       - sgn * np.sqrt(beta * (m + 1)) * W)
+        rows.append(row)
+    return sp.bmat(rows, format="csr")
+
+
+def _assert_same_csr(A, B):
+    assert type(A) is type(B)
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+_MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
+                           sin_coeffs=(0.0, 0.25), offset=1.5)
+
+
+@pytest.mark.parametrize("n_hermite", [2, 8, 64])
+@pytest.mark.parametrize("force,adjoint", [(0.0, False), (0.0, True), (0.7, False)])
+@pytest.mark.parametrize("gamma,potential,n_fourier", [
+    (1.0, PeriodicPotential.cosine(1.0, 1.0), 24),
+    (50.0, PeriodicPotential.cosine(1.0, 1.0), 24),
+    (1.0, _MIXED, 6),
+])
+def test_generator_matches_block_assembly(gamma, potential, n_fourier, force,
+                                          adjoint, n_hermite):
+    params = ModelParams(gamma=gamma, beta=5.0, force=force, potential=potential)
+    trunc = TruncationSpec(n_hermite, n_fourier)
+    _assert_same_csr(assemble_generator(params, trunc, adjoint),
+                     _block_generator(params, trunc, adjoint))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_generator_drops_cancelled_entries(adjoint):
+    # V = cos(2q), L = 2 pi, beta = 1: one super-diagonal entry per level is
+    # a d_q term minus an equal tilt term, exactly 0, and is not stored
+    params = ModelParams(gamma=1.0, beta=1.0, force=0.0,
+                         potential=PeriodicPotential(period=2 * np.pi,
+                                                     cos_coeffs=(0.0, 1.0)))
+    trunc = TruncationSpec(4, 3)
+    A = assemble_generator(params, trunc, adjoint)
+    _assert_same_csr(A, _block_generator(params, trunc, adjoint))
+    size = 2 * trunc.n_fourier + 1
+    # level 0's diagonal block gamma*0*I keeps its zeros stored
+    level0 = A[:size, :size]
+    assert level0.nnz == size and not level0.data.any()
+    # every super-diagonal block stores one entry fewer than its pattern
+    blocks = hierarchy_blocks(params, trunc)
+    pattern = np.count_nonzero((blocks.d_q != 0) | (blocks.tilt != 0))
+    for m in range(trunc.n_hermite):
+        sup = A[m * size:(m + 1) * size, (m + 1) * size:(m + 2) * size]
+        assert sup.nnz == pattern - 1
+
+
+def test_chain_bits_at_gamma1_n64():
+    # V_j and the phi-form at gamma=1, beta=5, V0=1, L=1, N=64, M=24, order 9,
+    # as the block-by-block assembly gave them (float.hex, OpenBLAS on x86-64)
+    chain = build_chain(_params(), TruncationSpec(64, 24), 9)
+    v = ["0x0.0p+0", "0x1.ec6e526ee03c5p-13", "0x1.8400000000000p-59",
+         "0x1.51a14e98d9af5p-12", "-0x1.2c00000000000p-60",
+         "0x1.8da6bfe064f72p-13", "-0x1.e000000000000p-63",
+         "0x1.4c8fa926e4bfcp-14", "0x1.6800000000000p-61",
+         "0x1.c19e1de2a98b4p-16"]
+    v_phi = ["0x0.0p+0", "0x1.ec6e526edff28p-13", "-0x1.4000000000000p-57",
+             "0x1.51a14e98d9b04p-12", "-0x1.4000000000000p-59",
+             "0x1.8da6bfe06586ap-13", "-0x1.1800000000000p-60",
+             "0x1.4c8fa926e4b77p-14", "-0x1.6800000000000p-62",
+             "0x1.c19e1de2a7935p-16"]
+    assert [x.hex() for x in chain.v.tolist()] == v
+    assert [x.hex() for x in chain.v_phi_form.tolist()] == v_phi
 
 
 # ---------------------------------------------------------------------------
