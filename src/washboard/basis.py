@@ -11,6 +11,18 @@ polynomial stored in the packed real layout
     (xi_0, xi_1 .. xi_M, eta_1 .. eta_M),   g_n(q) = sum_j G_n^j e^{i w_j q},
 
 with G_n^j = xi^j + i eta^j, G_n^{-j} = conj(G_n^j) and w_j = 2*pi*j/L.
+The mean (1/L) int f g dq of two such functions is f . W g in the packed
+metric W = diag(1, 2, .., 2).
+
+This module is the one owner of the packed layout; every other module builds
+and reads packed vectors only through its helpers:
+
+    pack_complex, unpack_complex   packed <-> complex coefficients c_0..c_M
+    packed_metric                  the diagonal of W
+    packed_dq_matrix               d/dq
+    packed_mult_matrix             multiplication by a real function
+                                   (a Fourier convolution, Galerkin-truncated)
+    fourier_table                  reconstruction: packed @ table = values on a q grid
 """
 
 from __future__ import annotations
@@ -35,8 +47,10 @@ __all__ = [
     "apply_q_derivative",
     "packed_dq_matrix",
     "packed_mult_matrix",
+    "packed_metric",
     "pack_complex",
     "unpack_complex",
+    "fourier_table",
     "gauss_maxwell_nodes",
     "GibbsQuadrature",
     "weighted_inner_product",
@@ -158,21 +172,38 @@ def gauss_maxwell_nodes(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def pack_complex(coeffs: np.ndarray) -> np.ndarray:
-    """Packed real vector from complex coefficients c_0..c_M (c_{-j} implied)."""
-    M = len(coeffs) - 1
-    out = np.empty(2 * M + 1)
-    out[0] = coeffs[0].real
-    out[1 : M + 1] = coeffs[1:].real
-    out[M + 1 :] = coeffs[1:].imag
-    return out
+    """Packed real coefficients from complex c_0..c_M (c_{-j} implied).
+
+    Packs along the leading axis; trailing axes are carried along.
+    """
+    c = np.asarray(coeffs)
+    return np.concatenate([c[:1].real, c[1:].real, c[1:].imag])
+
 
 def unpack_complex(values: np.ndarray) -> np.ndarray:
-    """Complex coefficients c_0..c_M of a packed real vector."""
-    M = (len(values) - 1) // 2
-    c = np.empty(M + 1, dtype=complex)
-    c[0] = values[0]
-    c[1:] = values[1 : M + 1] + 1j * values[M + 1 :]
-    return c
+    """Complex coefficients c_0..c_M of packed real values (leading axis)."""
+    v = np.asarray(values, dtype=float)
+    M = (v.shape[0] - 1) // 2
+    return np.concatenate([v[:1] + 0j, v[1 : M + 1] + 1j * v[M + 1 :]])
+
+
+def packed_metric(n_fourier: int) -> np.ndarray:
+    """Diagonal of W = diag(1, 2, .., 2): (1/L) int f g dq = f . W g."""
+    w = np.full(2 * n_fourier + 1, 2.0)
+    w[0] = 1.0
+    return w
+
+
+def fourier_table(n_fourier: int, period: float, q: np.ndarray) -> np.ndarray:
+    """Reconstruction table: packed coefficients @ table = values on the q grid."""
+    M = n_fourier
+    w1 = 2.0 * np.pi / period
+    T = np.empty((2 * M + 1, q.size))
+    T[0] = 1.0
+    for k in range(1, M + 1):
+        T[k] = 2.0 * np.cos(k * w1 * q)
+        T[M + k] = -2.0 * np.sin(k * w1 * q)
+    return T
 
 
 @dataclass(frozen=True)
@@ -201,15 +232,8 @@ class FourierVector:
     def evaluate(self, q):
         """Reconstruct the function at positions q."""
         q = np.asarray(q, dtype=float)
-        M = self.n_fourier
-        w1 = 2.0 * np.pi / self.period
-        out = np.full_like(q, self.values[0], dtype=float)
-        for k in range(1, M + 1):
-            out = out + 2.0 * (
-                self.values[k] * np.cos(k * w1 * q)
-                - self.values[M + k] * np.sin(k * w1 * q)
-            )
-        return out
+        vals = self.values @ fourier_table(self.n_fourier, self.period, q.ravel())
+        return vals.reshape(q.shape)
 
     def derivative(self) -> "FourierVector":
         return apply_q_derivative(self)
@@ -217,23 +241,18 @@ class FourierVector:
 
 def apply_q_derivative(vec: FourierVector) -> FourierVector:
     """d/dq in packed form: (xi_k, eta_k) -> (-w_k eta_k, +w_k xi_k)."""
-    M = vec.n_fourier
-    w1 = 2.0 * np.pi / vec.period
-    out = np.zeros_like(vec.values)
-    k = np.arange(1, M + 1)
-    out[1 : M + 1] = -(w1 * k) * vec.values[M + 1 :]
-    out[M + 1 :] = (w1 * k) * vec.values[1 : M + 1]
-    return FourierVector(out, vec.period)
+    return FourierVector(packed_dq_matrix(vec.n_fourier, vec.period) @ vec.values,
+                         vec.period)
 
 
 def packed_dq_matrix(n_fourier: int, period: float) -> np.ndarray:
     """(2M+1)^2 matrix of d/dq acting on packed vectors."""
     M = n_fourier
-    w1 = 2.0 * np.pi / period
+    k = np.arange(1, M + 1)
+    wk = (2.0 * np.pi / period) * k
     D = np.zeros((2 * M + 1, 2 * M + 1))
-    for k in range(1, M + 1):
-        D[k, M + k] = -w1 * k
-        D[M + k, k] = w1 * k
+    D[k, M + k] = -wk
+    D[M + k, k] = wk
     return D
 
 
@@ -241,38 +260,22 @@ def packed_mult_matrix(coeffs: np.ndarray, n_fourier: int, period: float) -> np.
     """(2M+1)^2 matrix of multiplication by the real function with complex
     coefficients ``coeffs[m]`` for harmonics m = 0..K (negative implied).
 
-    Truncates output harmonics above M (Galerkin projection).
+    Truncates output harmonics above M (Galerkin projection): the Toeplitz
+    convolution c_{j-k} on output harmonics j = 0..M, applied to the two-sided
+    expansion of each packed basis vector and packed again.  Raises
+    ValueError if the mean coefficient ``coeffs[0]`` is not real.
     """
-    M = n_fourier
-    K = len(coeffs) - 1
-    full = np.zeros(2 * M + 2 * K + 1, dtype=complex)   # index m+M+K
-    full[M + K] = coeffs[0]
-    for m in range(1, K + 1):
-        full[M + K + m] = coeffs[m]
-        full[M + K - m] = np.conj(coeffs[m])
-    # complex convolution on harmonics -M..M
-    C = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)
-    for j in range(-M, M + 1):
-        for k in range(max(-M, j - K), min(M, j + K) + 1):
-            C[M + j, M + k] = full[M + K + (j - k)]
-    # conjugate by the packed <-> complex maps
-    U = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)   # packed -> complex(-M..M)
-    U[M, 0] = 1.0
-    for k in range(1, M + 1):
-        U[M + k, k] = 1.0
-        U[M + k, M + k] = 1.0j
-        U[M - k, k] = 1.0
-        U[M - k, M + k] = -1.0j
-    P = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)   # complex -> packed
-    P[0, M] = 1.0
-    for k in range(1, M + 1):
-        P[k, M + k] = 0.5          # xi_k = Re c_k = (c_k + c_{-k})/2
-        P[k, M - k] = 0.5
-        P[M + k, M + k] = -0.5j    # eta_k = Im c_k = (c_k - c_{-k})/(2i)
-        P[M + k, M - k] = 0.5j
-    A = (P @ C @ U)
-    assert np.abs(A.imag).max() < 1e-12 * max(np.abs(A.real).max(), 1.0)
-    return A.real
+    c = np.asarray(coeffs, dtype=complex)
+    if c[0].imag != 0.0:
+        raise ValueError(f"mean coefficient {c[0]} of a real function must be real")
+    M, K = n_fourier, c.size - 1
+    two_sided = np.concatenate([np.conj(c[:0:-1]), c])     # harmonics -K..K
+    shift = np.arange(M + 1)[:, None] - np.arange(-M, M + 1)[None, :]
+    C = np.where(np.abs(shift) <= K, two_sided[np.clip(shift + K, 0, 2 * K)], 0.0)
+    pos, neg = C[:, M + 1 :], C[:, M - 1 :: -1]             # operand harmonics +k, -k
+    # packed basis vector xi_k is e^{ikwq} + e^{-ikwq}, eta_k is i(e^{ikwq} - e^{-ikwq})
+    return pack_complex(np.concatenate([C[:, M : M + 1], pos + neg, 1j * (pos - neg)],
+                                       axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +339,7 @@ class HermiteFourierField:
         p = np.asarray(p, dtype=float)
         q, p = np.broadcast_arrays(q, p)
         H = hermite_table(self.n_hermite, p.ravel() * np.sqrt(self.beta))
-        M = self.n_fourier
-        w1 = 2.0 * np.pi / self.period
-        levels = self.coeffs[:, :1] * np.ones((1, q.size))
-        qr = q.ravel()
-        for k in range(1, M + 1):
-            ck, sk = np.cos(k * w1 * qr), np.sin(k * w1 * qr)
-            levels += 2.0 * (np.outer(self.coeffs[:, k], ck)
-                             - np.outer(self.coeffs[:, M + k], sk))
+        levels = self.coeffs @ fourier_table(self.n_fourier, self.period, q.ravel())
         vals = np.einsum("xn,nx->x", H, levels)
         return vals.reshape(q.shape) if q.ndim else float(vals[0])
 
@@ -422,7 +418,7 @@ class GibbsQuadrature:
         wq = np.exp(-beta * params.potential.evaluate(self.q))
         self.wq = wq / wq.sum()
         self.hermite = gauss_hermite_functions(N, self.x)  # (n_p, N+1)
-        self.fourier = _fourier_table(M, L, self.q)        # (2M+1, n_q)
+        self.fourier = fourier_table(M, L, self.q)        # (2M+1, n_q)
         self.p = self.x / np.sqrt(beta)
 
     def values(self, g: HermiteFourierField) -> np.ndarray:
@@ -439,29 +435,14 @@ class GibbsQuadrature:
         return self.integrate(self.values(g) * self.values(h))
 
 
-def _fourier_table(M: int, period: float, q: np.ndarray) -> np.ndarray:
-    """Reconstruction table: packed coefficients @ table = values on q grid."""
-    w1 = 2.0 * np.pi / period
-    T = np.empty((2 * M + 1, q.size))
-    T[0] = 1.0
-    for k in range(1, M + 1):
-        T[k] = 2.0 * np.cos(k * w1 * q)
-        T[M + k] = -2.0 * np.sin(k * w1 * q)
-    return T
-
-
 def weighted_inner_product(g: HermiteFourierField, h: HermiteFourierField,
                            params: ModelParams,
-                           quadrature: tuple[int, int] | GibbsQuadrature | None = None
-                           ) -> float:
+                           quadrature: GibbsQuadrature | None = None) -> float:
     """<g, h>_beta = int g h rho_bar dp dq.
 
     ``quadrature`` may be a prebuilt :class:`GibbsQuadrature` (reused across
-    many products) or an explicit (n_p, n_q) order pair.
+    many products); by default one with the default orders is built.
     """
-    if isinstance(quadrature, GibbsQuadrature):
-        grid = quadrature
-    else:
-        n_p, n_q = quadrature if quadrature is not None else (None, None)
-        grid = GibbsQuadrature(params, g.n_hermite, g.n_fourier, n_p, n_q)
-    return grid.inner(g, h)
+    if quadrature is None:
+        quadrature = GibbsQuadrature(params, g.n_hermite, g.n_fourier)
+    return quadrature.inner(g, h)

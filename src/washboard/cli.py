@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,7 +69,9 @@ _DEFAULTS = {
 def _merge(base: dict, extra: dict) -> dict:
     out = dict(base)
     for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if isinstance(out.get(key), dict) and val is not None:
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key!r} must be a JSON object, got {val!r}")
             out[key] = _merge(out[key], val)
         elif val is not None:
             out[key] = val
@@ -80,11 +83,23 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if path is not None:
         try:
             with open(path) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, "
+                              f"not a {type(loaded).__name__}")
+        cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, overrides)
     return cfg
+
+
+def _number(kind, value, name: str):
+    """kind(value), with a value that is no number reported as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _build_potential(spec: dict) -> PeriodicPotential:
@@ -95,7 +110,7 @@ def _build_potential(spec: dict) -> PeriodicPotential:
             sin_coeffs=tuple(spec.get("sin", ())),
             offset=spec.get("offset", 0.0),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
 
 
@@ -103,7 +118,7 @@ def _build_params(cfg: dict) -> ModelParams:
     try:
         return ModelParams(gamma=cfg["gamma"], beta=cfg["beta"], force=cfg["force"],
                            potential=_build_potential(cfg["potential"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -113,7 +128,7 @@ def _build_trunc(cfg: dict) -> TruncationSpec:
         return TruncationSpec(n_hermite=int(t["n_hermite"]),
                               n_fourier=int(t["n_fourier"]),
                               closure=t.get("closure", "dirichlet"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad truncation spec: {exc}") from exc
 
 
@@ -122,14 +137,22 @@ def _sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
     var = s.get("variable", "force")
     if var not in ("force", "gamma"):
         raise ConfigError(f"sweep variable must be force or gamma, got {var!r}")
-    count = int(s.get("count", 9))
+    count = _number(int, s.get("count", 9), "sweep count")
     if count < 1:
         raise ConfigError("sweep count must be >= 1")
-    lo, hi = float(s.get("min", 0.0)), float(s.get("max", 1.0))
+    lo = _number(float, s.get("min", 0.0), "sweep min")
+    hi = _number(float, s.get("max", 1.0), "sweep max")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError("sweep range must be finite")
     vals = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
     return var, vals
+
+
+def _point_params(params: ModelParams, var: str, value) -> ModelParams:
+    """``params`` at one sweep point: the force or the friction set to ``value``."""
+    if var == "force":
+        return params.with_force(float(value))
+    return replace(params, gamma=float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +184,23 @@ def emit_report(rows: list[dict], path: str, columns: list[str] | None = None) -
 
 
 def parse_report(path: str) -> list[dict]:
-    """Read back a CSV written by emit_report (floats where possible)."""
+    """Read back a CSV written by emit_report (floats where possible).
+
+    Fields are not quoted, so an error message holding commas spills into the
+    fields after it; those tokens are joined back into ``error``.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
+    err = header.index("error") if "error" in header else None
     rows = []
     for ln in lines[1:]:
+        toks = ln.split(",")
+        extra = len(toks) - len(header)
+        if extra > 0 and err is not None:
+            toks[err : err + extra + 1] = [",".join(toks[err : err + extra + 1])]
         row = {}
-        for key, tok in zip(header, ln.split(",")):
+        for key, tok in zip(header, toks):
             if tok == "":
                 row[key] = ""
             else:
@@ -261,10 +293,8 @@ def cmd_transport(cfg: dict, out: str) -> int:
     scale = bool(cfg["scale"])
 
     def point(v):
-        p = (params.with_force(float(v)) if var == "force"
-             else ModelParams(gamma=float(v), beta=params.beta, force=params.force,
-                              potential=params.potential))
-        return _transport_point(p, trunc, bool(cfg["adaptive"]), scale)
+        return _transport_point(_point_params(params, var, v), trunc,
+                                bool(cfg["adaptive"]), scale)
 
     rows = _sweep_rows(point, values, int(cfg["workers"]),
                        "F" if var == "force" else "gamma")
@@ -276,9 +306,11 @@ def cmd_transport(cfg: dict, out: str) -> int:
 def cmd_expand(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     trunc = _build_trunc(cfg)
-    order = int(cfg["order"])
+    order = _number(int, cfg["order"], "order")
     orders = cfg["orders"] or sorted({1, max(1, (order + 1) // 2), order})
-    orders = [int(o) for o in orders if int(o) <= order]
+    if not isinstance(orders, list):
+        raise ConfigError(f"orders must be a list of integers, got {orders!r}")
+    orders = [o for o in (_number(int, o, "orders entry") for o in orders) if o <= order]
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")
@@ -342,15 +374,19 @@ def cmd_mc(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     var, values = _sweep_values(cfg)
     mc = cfg["mc"]
+    try:   # checked once, at the first sweep point
+        config = McConfig(
+            dt=_number(float, mc["dt"], "mc dt"),
+            n_steps=_number(int, mc["n_steps"], "mc n_steps"),
+            n_burnin=_number(int, mc["n_burnin"], "mc n_burnin"),
+            n_traj=_number(int, mc["n_traj"], "mc n_traj"),
+            seed=_number(int, mc["seed"], "mc seed"),
+            params=_point_params(params, var, values[0]))
+    except ValueError as exc:
+        raise ConfigError(f"bad mc spec: {exc}") from exc
 
     def point(v):
-        p = (params.with_force(float(v)) if var == "force"
-             else ModelParams(gamma=float(v), beta=params.beta, force=params.force,
-                              potential=params.potential))
-        config = McConfig(dt=float(mc["dt"]), n_steps=int(mc["n_steps"]),
-                          n_burnin=int(mc["n_burnin"]), n_traj=int(mc["n_traj"]),
-                          seed=int(mc["seed"]), params=p)
-        est = simulate(config)
+        est = simulate(replace(config, params=_point_params(params, var, v)))
         return {var: float(v), "U_hat": est.u_hat, "D_hat": est.d_hat,
                 "stderr_U": est.stderr_u, "stderr_D": est.stderr_d,
                 "n_traj": est.n_traj_used}

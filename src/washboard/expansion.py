@@ -35,6 +35,8 @@ from .basis import (
     TruncationSpec,
     apply_lower,
     apply_raise,
+    pack_complex,
+    packed_metric,
 )
 from .transport import SolverError, hierarchy_blocks
 
@@ -109,30 +111,24 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec,
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
-def _gibbs_q_packed(params: ModelParams, n_fourier: int) -> np.ndarray:
-    """Packed Fourier coefficients of w(q) = e^{-beta V}/Z_q (so int w dq = 1)."""
-    L = params.potential.period
-    n = max(1024, 16 * n_fourier)
-    q = np.arange(n) * L / n
-    w = np.exp(-params.beta * params.potential.evaluate(q))
-    w = w / (w.mean() * L)
-    ck = np.fft.rfft(w) / n
-    out = np.zeros(2 * n_fourier + 1)
-    out[0] = ck[0].real
-    out[1 : n_fourier + 1] = ck[1 : n_fourier + 1].real
-    out[n_fourier + 1 :] = ck[1 : n_fourier + 1].imag
-    return out
-
-
 def _mean_functional(params: ModelParams, trunc: TruncationSpec) -> np.ndarray:
-    """Vector t with <psi, 1>_beta = t . psi_flat (level 0 only survives in p)."""
-    L = params.potential.period
-    xw = _gibbs_q_packed(params, trunc.n_fourier)
-    t0 = 2.0 * L * xw
-    t0[0] = L * xw[0]
-    t = np.zeros((trunc.n_hermite + 1) * (2 * trunc.n_fourier + 1))
-    t[: t0.size] = t0
+    """Vector t with <psi, 1>_beta = t . psi_flat (level 0 only survives in p).
+
+    Its level-0 block is L W times the packed coefficients of the Gibbs
+    weight w(q) = e^{-beta V}/Z_q, normalized to int w dq = 1.
+    """
+    L, M = params.potential.period, trunc.n_fourier
+    n = max(1024, 16 * M)
+    w = np.exp(-params.beta * params.potential.evaluate(np.arange(n) * L / n))
+    w = w / (w.mean() * L)
+    t = np.zeros((trunc.n_hermite + 1) * (2 * M + 1))
+    t[: 2 * M + 1] = L * packed_metric(M) * pack_complex(np.fft.rfft(w)[: M + 1] / n)
     return t
+
+
+# Largest |<1, rhs>_beta| a Poisson right-hand side may carry, relative to
+# max(max|rhs|, 1).
+_SOLVABILITY_TOL = 1e-9
 
 
 class EquilibriumPoissonSolver:
@@ -168,17 +164,16 @@ class EquilibriumPoissonSolver:
         """<v, 1>_beta from the constraint functional (exact in the basis)."""
         return float(self._t @ v.coeffs.reshape(-1))
 
-    def solve(self, rhs: HermiteFourierField, solvability_tol: float = 1e-9
-              ) -> tuple[HermiteFourierField, float, float]:
+    def solve(self, rhs: HermiteFourierField) -> tuple[HermiteFourierField, float, float]:
         """Mean-zero solution psi plus (lam, residual) diagnostics.
 
         Raises if the right-hand side violates the solvability condition
-        <1, rhs>_beta = 0 beyond ``solvability_tol`` (relative to its size).
+        <1, rhs>_beta = 0 beyond ``_SOLVABILITY_TOL`` (relative to its size).
         """
         flat = rhs.coeffs.reshape(-1)
         scale = max(float(np.abs(flat).max()), 1e-300)
         defect = abs(float(self._t @ flat))
-        if defect > solvability_tol * max(scale, 1.0):
+        if defect > _SOLVABILITY_TOL * max(scale, 1.0):
             raise SolverError(
                 f"right-hand side violates solvability: <1, rhs> = {defect:.3e}"
             )

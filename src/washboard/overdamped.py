@@ -7,9 +7,11 @@ overdamped dynamics with generator
     L_O = (-V'(q) + F) d/dq + (1/beta) d^2/dq^2
 
 on the periodic cell.  Both the stationary density and the corrector are
-solved by a 1-d Fourier-Galerkin method; the drift is independently validated
-against the classical double-quadrature formula, and the zero-tilt diffusion
-against the Lifson-Jackson closed form.
+solved by a 1-d Fourier-Galerkin method on the shared packed real basis of
+:mod:`washboard.basis`: d/dq, the multiplication by -V' + F, the metric and
+the reconstruction table all come from there.  The drift is independently
+validated against the classical double-quadrature formula, and the zero-tilt
+diffusion against the Lifson-Jackson closed form.
 
 Two corrector-based expressions for D_O appear in the literature: the
 gradient-squared form  (1/beta) int (1 + phi')^2 rho dq  and the linear form
@@ -29,7 +31,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .model import ModelParams, PeriodicPotential
-from .basis import TruncationSpec
+from .basis import (TruncationSpec, fourier_table, packed_dq_matrix, packed_metric,
+                    packed_mult_matrix)
 from .transport import solve_transport
 
 __all__ = [
@@ -58,62 +61,47 @@ def solve_overdamped(potential: PeriodicPotential, beta: float, force: float,
     The stationary density is normalized to int rho = 1; the corrector solves
     -L_O phi = (-V' + F) - U_O with zero mean (the U_O centering makes the
     right-hand side orthogonal to the stationary density, which spans the
-    cokernel).
+    cokernel).  In each problem the harmonic-0 row, which is identically
+    zero, is replaced by the normalization or the zero-mean condition.
     """
     if n_fourier < max(potential.n_harmonics, 1):
         raise ValueError("n_fourier below the potential's highest harmonic")
     M = n_fourier
     L = potential.period
-    w1 = potential.omega1
-    idx = np.arange(-M, M + 1)
-    om = w1 * idx
+    d_q = packed_dq_matrix(M, L)
+    B = packed_mult_matrix(potential.tilt_drift_coeffs(force), M, L)
+    b = B[:, 0]                                      # B times 1: -V' + F itself
+    wL = L * packed_metric(M)                        # int f g dq = f . wL g
+    laplace = d_q @ d_q / beta
 
-    uk = potential.tilt_drift_coeffs(force)          # harmonics 0..K of -V'+F
-    u = np.zeros(2 * M + 1, dtype=complex)
-    u[M] = uk[0]
-    for m in range(1, len(uk)):
-        u[M + m] = uk[m]
-        u[M - m] = np.conj(uk[m])
-    C = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)
-    K = len(uk) - 1
-    for j in range(-M, M + 1):
-        for k in range(max(-M, j - K), min(M, j + K) + 1):
-            C[M + j, M + k] = u[M + (j - k)]
-
-    # stationary: d/dq(-b rho + rho'/beta) = 0, row j=0 replaced by normalization
-    Lstar = -1j * np.diag(om) @ C - np.diag(om ** 2) / beta
+    # stationary: d/dq(-b rho + rho'/beta) = 0, row 0 replaced by normalization
+    Lstar = laplace - d_q @ B
     A = Lstar.copy()
-    A[M, :] = 0.0
-    A[M, M] = 1.0
-    rhs = np.zeros(2 * M + 1, dtype=complex)
-    rhs[M] = 1.0 / L
+    A[0, :] = 0.0
+    A[0, 0] = 1.0
+    rhs = np.zeros(2 * M + 1)
+    rhs[0] = 1.0 / L
     rho = np.linalg.solve(A, rhs)
-    rho = 0.5 * (rho + np.conj(rho[::-1]))           # enforce a real density
     stat_res = float(np.abs(Lstar @ rho).max())
 
-    drift = float((L * (u[::-1] @ rho)).real)        # int b rho dq
+    drift = float(wL * b @ rho)                      # int b rho dq
 
-    # corrector: -L_O phi = b - U_O, mean-zero via the j = 0 row
-    Lgen = C @ (1j * np.diag(om)) - np.diag(om ** 2) / beta
-    Acell = -Lgen
-    Acell[M, :] = 0.0
-    Acell[M, M] = 1.0
-    rhs2 = u.copy()
-    rhs2[M] = 0.0
+    # corrector: -L_O phi = b - U_O, mean-zero via row 0
+    Acell = -(B @ d_q + laplace)
+    Acell[0, :] = 0.0
+    Acell[0, 0] = 1.0
+    rhs2 = b.copy()
+    rhs2[0] = 0.0
     phi = np.linalg.solve(Acell, rhs2)
-    phi = 0.5 * (phi + np.conj(phi[::-1]))
-    b_centered = u.copy()
-    b_centered[M] -= drift
-    cell_res = float(np.abs((-Lgen @ phi - b_centered)[np.arange(2 * M + 1) != M]).max())
+    cell_res = float(np.abs((Acell @ phi - rhs2)[1:]).max())
 
-    dphi = 1j * om * phi
-    d_linear = float((1.0 + L * (dphi[::-1] @ rho).real) / beta)
+    dphi = d_q @ phi
+    d_linear = float((1.0 + wL * dphi @ rho) / beta)
 
     n_q = max(512, 8 * M)
-    q = np.arange(n_q) * L / n_q
-    basis = np.exp(1j * np.outer(om, q))
-    dphi_q = (dphi @ basis).real
-    rho_q = (rho @ basis).real
+    table = fourier_table(M, L, np.arange(n_q) * L / n_q)
+    dphi_q = dphi @ table
+    rho_q = rho @ table
     d_squared = float(np.mean((1.0 + dphi_q) ** 2 * rho_q) * L / beta)
 
     return OverdampedResult(

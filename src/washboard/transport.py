@@ -26,7 +26,7 @@ solution, cross-checked against the gradient-squared form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrf, dgetri, dgetri_lwork
@@ -36,9 +36,10 @@ from .model import ModelParams
 from .basis import (
     HermiteFourierField,
     TruncationSpec,
-    _fourier_table,
+    fourier_table,
     hermite_table,
     packed_dq_matrix,
+    packed_metric,
     packed_mult_matrix,
 )
 
@@ -109,11 +110,9 @@ def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlo
     L = params.potential.period
     d_q = packed_dq_matrix(M, L)
     tilt = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
-    metric = np.full(2 * M + 1, 2.0)
-    metric[0] = 1.0
     return HierarchyBlocks(friction=params.gamma * np.sqrt(params.beta), d_q=d_q,
                            tilt=tilt, drift=d_q + params.beta * tilt,
-                           lift=d_q - params.beta * tilt, metric=metric)
+                           lift=d_q - params.beta * tilt, metric=packed_metric(M))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     x, wp = roots_hermitenorm(n_p)
     wp = wp / np.sqrt(2.0 * np.pi)
     q = np.arange(n_q) * L / n_q
-    ftab = _fourier_table(M, L, q)
+    ftab = fourier_table(M, L, q)
     wq = np.full(n_q, L / n_q)
 
     mu = np.sqrt(beta) * max(abs(density.drift), abs(params.force) / gamma)
@@ -476,15 +475,20 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
 # Front door
 # ---------------------------------------------------------------------------
 
+# Adaptive truncation: double N until both top-level ratios are at most
+# _ADAPT_TOL, but never past _N_HERMITE_MAX levels.
+_ADAPT_TOL = 1e-8
+_N_HERMITE_MAX = 8192
+
+
 def solve_transport(params: ModelParams, trunc: TruncationSpec,
-                    adaptive: bool = False, adapt_tol: float = 1e-8,
-                    n_hermite_max: int = 8192) -> TransportResult:
+                    adaptive: bool = False) -> TransportResult:
     """Stationary density + cell problem + diffusion in one call.
 
     With ``adaptive=True`` the Hermite truncation is doubled until the top
-    level of both the density and the cell solution falls below ``adapt_tol``
+    level of both the density and the cell solution falls below ``_ADAPT_TOL``
     relative to the field norm (needed in the small-friction regime, where the
-    hierarchy decays slowly).
+    hierarchy decays slowly), up to ``_N_HERMITE_MAX`` levels.
     """
     blocks = hierarchy_blocks(params, trunc)
     cur = trunc
@@ -495,26 +499,21 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
         except SolverError:
             # below a working truncation the hierarchy closure is often
             # singular or loses solvability; retry larger before giving up
-            if adaptive and 2 * cur.n_hermite <= n_hermite_max:
+            if adaptive and 2 * cur.n_hermite <= _N_HERMITE_MAX:
                 cur = cur.with_n_hermite(2 * cur.n_hermite)
                 continue
             raise
         pscale = max(float(np.abs(phi.coeffs).max()), 1e-300)
         top_phi = float(np.abs(phi.coeffs[cur.n_hermite]).max()) / pscale
         converged = (
-            density.diagnostics["top_level_ratio"] <= adapt_tol
-            and top_phi <= adapt_tol
+            density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
+            and top_phi <= _ADAPT_TOL
         )
-        if not adaptive or converged or 2 * cur.n_hermite > n_hermite_max:
+        if not adaptive or converged or 2 * cur.n_hermite > _N_HERMITE_MAX:
             result = compute_diffusion(density, phi, params)
             diagnostics = dict(result.diagnostics)
             diagnostics.update(cell_diag)
             if adaptive and not converged:
                 diagnostics["adaptive_cap_hit"] = True
-            return TransportResult(
-                drift=result.drift, d_primary=result.d_primary, d_ibp=result.d_ibp,
-                d_ibp_stability=result.d_ibp_stability, n_hermite=cur.n_hermite,
-                n_fourier=cur.n_fourier, closure=cur.closure,
-                diagnostics=diagnostics,
-            )
+            return replace(result, diagnostics=diagnostics)
         cur = cur.with_n_hermite(2 * cur.n_hermite)

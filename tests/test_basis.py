@@ -4,9 +4,12 @@ import pytest
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import (FourierVector, GibbsQuadrature, HermiteFourierField,
                              TruncationSpec, apply_lower, apply_momentum,
-                             apply_q_derivative, apply_raise, gauss_maxwell_nodes,
-                             hermite_eval, pack_complex, packed_mult_matrix,
+                             apply_q_derivative, apply_raise, fourier_table,
+                             gauss_maxwell_nodes, hermite_eval, pack_complex,
+                             packed_dq_matrix, packed_metric, packed_mult_matrix,
                              unpack_complex, weighted_inner_product)
+
+from packed_reference import reference_dq_matrix, reference_mult_matrix
 
 
 def _random_field(rng, n_hermite=12, n_fourier=3, period=1.0, beta=2.0, headroom=2):
@@ -145,6 +148,66 @@ def test_pack_unpack_roundtrip():
     c[0] = c[0].real
     packed = pack_complex(c)
     assert unpack_complex(packed) == pytest.approx(c)
+
+
+def test_pack_unpack_along_leading_axis():
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    c[0] = c[0].real
+    packed = pack_complex(c)
+    assert packed.shape == (9, 3)
+    for col in range(3):
+        assert np.array_equal(packed[:, col], pack_complex(c[:, col]))
+    assert np.array_equal(unpack_complex(packed), c)
+
+
+def test_packed_metric_is_the_mean_of_products():
+    rng = np.random.default_rng(8)
+    f, g = rng.standard_normal(7), rng.standard_normal(7)
+    q = np.arange(64) * 2.5 / 64
+    table = fourier_table(3, 2.5, q)
+    mean = np.mean((f @ table) * (g @ table))
+    assert f @ (packed_metric(3) * g) == pytest.approx(mean, rel=1e-13)
+    assert np.array_equal(packed_metric(2), [1.0, 2.0, 2.0, 2.0, 2.0])
+
+
+_GRID_POTENTIALS = [
+    PeriodicPotential(period=1.0),
+    PeriodicPotential.cosine(1.0, 1.0),
+    PeriodicPotential.cosine(np.pi ** 2 / 16.0, 2 * np.pi),
+    PeriodicPotential(period=1.3, cos_coeffs=(0.8,), sin_coeffs=(0.4,)),
+    PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
+                      sin_coeffs=(0.0, 0.25), offset=1.5),
+    PeriodicPotential(period=2 * np.pi, cos_coeffs=(0.0, 1.0)),
+]
+_GRID_M = (1, 2, 4, 6, 16, 24, 64)
+
+
+@pytest.mark.parametrize("potential", _GRID_POTENTIALS)
+def test_packed_mult_matrix_bits_match_reference(potential):
+    # values and zero pattern of the loop-built P C U, harmonics of the
+    # function above M (Galerkin-truncated) included
+    L = potential.period
+    for force in (0.0, 0.5, 3.0, -1.2, 0.7):
+        coeffs = potential.tilt_drift_coeffs(force)
+        for M in _GRID_M:
+            A = packed_mult_matrix(coeffs, M, L)
+            ref = reference_mult_matrix(coeffs, M, L)
+            assert np.array_equal(A, ref), (force, M)
+            assert np.array_equal(A == 0, ref == 0), (force, M)
+
+
+def test_packed_dq_matrix_bits_match_reference():
+    for L in (1.0, 1.3, 2.0, 2 * np.pi):
+        for M in _GRID_M:
+            D, ref = packed_dq_matrix(M, L), reference_dq_matrix(M, L)
+            assert np.array_equal(D, ref) and np.array_equal(D == 0, ref == 0)
+
+
+def test_packed_mult_matrix_rejects_complex_mean():
+    coeffs = np.array([1.0 + 1e-9j, 0.5 - 0.25j])
+    with pytest.raises(ValueError, match="mean coefficient"):
+        packed_mult_matrix(coeffs, 3, 1.0)
 
 
 def test_packed_mult_matrix_vs_pointwise():

@@ -47,6 +47,20 @@ def test_emit_parse_roundtrip(tmp_path):
     assert back == rows
 
 
+def test_error_with_commas_roundtrip(tmp_path):
+    msg = ("SolverError: bottom-block null space has dimension 2, expected 1; "
+           "truncation failure")
+    rows = [{"F": 0.5, "U": 1.25, "error": ""}, {"F": 1.0, "error": msg},
+            {"F": 1.5, "U": 2.0, "error": "a,,b,"}]
+    path = str(tmp_path / "e.csv")
+    emit_report(rows, path, ["F", "U", "error"])
+    # written unquoted, as before
+    assert open(path).read() == f"F,U,error\n0.5,1.25,\n1,,{msg}\n1.5,2,a,,b,\n"
+    back = parse_report(path)
+    assert [r["error"] for r in back] == ["", msg, "a,,b,"]
+    assert [r["F"] for r in back] == [0.5, 1, 1.5]
+
+
 def test_emit_empty_rows_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     emit_report([], path, ["x", "y"])
@@ -162,6 +176,58 @@ def test_config_error_exit_code(tmp_path):
         fh.write("not json")
     code = main(["transport", "--config", bad, "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+_MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("transport", {"sweep": {"count": "x"}}),
+    ("transport", {"sweep": {"min": [0.0]}}),
+    ("transport", {"sweep": 5}),
+    ("transport", {"gamma": "x"}),
+    ("transport", {"potential": {"L": 1.0, "cos": 5}}),
+    ("expand", {"order": "nine"}),
+    ("expand", {"orders": 5}),
+    ("mc", {"mc": {"n_traj": "many"}}),
+    ("mc", {"mc": dict(_MC_SMALL, seed=[1])}),
+    ("mc", {"mc": dict(_MC_SMALL, n_traj=1)}),
+    ("mc", {"mc": dict(_MC_SMALL, dt=-0.01)}),
+    ("mc", {"mc": dict(_MC_SMALL, n_burnin=200)}),
+], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
+        "order", "orders", "mc-n-traj",
+        "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_top_level_json_list_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"gamma": 1.0}]))
+    code = main(["transport", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_mc_config_checked_per_sweep_point(tmp_path):
+    # dt*gamma >= 0.5 at the second gamma only: a row error, not a config error
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "beta": 1.0, "potential": {"L": 6.283185307179586, "cos": []},
+        "mc": _MC_SMALL, "sweep": {"variable": "gamma", "min": 1.0, "max": 60.0,
+                                   "count": 2}}))
+    out = str(tmp_path / "m.csv")
+    assert main(["mc", "--config", str(path), "--out", out]) == 2
+    first, second = parse_report(out)
+    assert first["error"] == "" and first["gamma"] == 1.0
+    assert second["gamma"] == 60.0
+    assert second["error"].startswith("ValueError: dt*gamma = 0.6 >= 0.5")
 
 
 def test_numerical_error_exit_code_and_error_column(tmp_path):

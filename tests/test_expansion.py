@@ -5,14 +5,15 @@ import pytest
 import scipy.sparse as sp
 
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import (HermiteFourierField, TruncationSpec, apply_lower,
-                             packed_dq_matrix, packed_mult_matrix)
-from washboard.expansion import (EquilibriumPoissonSolver, assemble_generator,
-                                 build_chain,
+from washboard.basis import HermiteFourierField, TruncationSpec, apply_lower
+from washboard.expansion import (EquilibriumPoissonSolver, _mean_functional,
+                                 assemble_generator, build_chain,
                                  diffusion_coefficients, partial_sum_D,
                                  partial_sum_U, series_radius_estimate,
                                  solve_equilibrium_poisson, velocity_coefficient)
 from washboard.transport import SolverError, hierarchy_blocks, solve_transport
+
+from packed_reference import reference_dq_matrix, reference_mult_matrix
 
 
 def _params(gamma=1.0, beta=5.0, v0=1.0, period=1.0):
@@ -51,8 +52,8 @@ def _block_generator(params, trunc, adjoint=False):
     N, M = trunc.n_hermite, trunc.n_fourier
     L = params.potential.period
     beta, gamma = params.beta, params.gamma
-    d_q = packed_dq_matrix(M, L)
-    W = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
+    d_q = reference_dq_matrix(M, L)
+    W = reference_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
     sgn = -1.0 if adjoint else 1.0
     eye = sp.identity(2 * M + 1, format="csr")
     rows = []
@@ -114,6 +115,29 @@ def test_generator_drops_cancelled_entries(adjoint):
     for m in range(trunc.n_hermite):
         sup = A[m * size:(m + 1) * size, (m + 1) * size:(m + 2) * size]
         assert sup.nnz == pattern - 1
+
+
+@pytest.mark.parametrize("potential,n_fourier", [
+    (PeriodicPotential.cosine(1.0, 1.0), 24),
+    (_MIXED, 6),
+])
+def test_mean_functional_matches_hand_packing(potential, n_fourier):
+    # the functional as first written: the Gibbs weight's rfft packed slot by
+    # slot, weighted 1 on the mean and 2 on every other slot
+    params = ModelParams(gamma=1.0, beta=5.0, force=0.0, potential=potential)
+    trunc = TruncationSpec(4, n_fourier)
+    L, M = potential.period, n_fourier
+    n = max(1024, 16 * M)
+    w = np.exp(-params.beta * potential.evaluate(np.arange(n) * L / n))
+    ck = np.fft.rfft(w / (w.mean() * L)) / n
+    xw = np.zeros(2 * M + 1)
+    xw[0] = ck[0].real
+    xw[1 : M + 1] = ck[1 : M + 1].real
+    xw[M + 1 :] = ck[1 : M + 1].imag
+    ref = np.zeros((trunc.n_hermite + 1) * (2 * M + 1))
+    ref[: 2 * M + 1] = 2.0 * L * xw
+    ref[0] = L * xw[0]
+    assert np.array_equal(_mean_functional(params, trunc), ref)
 
 
 def test_chain_bits_at_gamma1_n64():

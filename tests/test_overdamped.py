@@ -88,6 +88,28 @@ def test_residuals_small():
     assert res.residuals["corrector"] < 1e-10
 
 
+_MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
+                           sin_coeffs=(0.0, 0.25), offset=1.5)
+
+
+@pytest.mark.parametrize("potential,beta,force,expected", [
+    # (U_O, D_O, D_O linear form) from the two-sided complex Galerkin solve
+    # this packed solve replaced, at the default n_fourier = 64
+    (COS151, 5.0, 0.5,
+     (0.0008330192303030726, 0.0004908790552083848, 0.0004669818973049633)),
+    (COS151, 5.0, 3.0,
+     (0.12567372767394103, 0.06011298291652867, 0.03907462241580477)),
+    (_MIXED, 2.0, 0.5,
+     (0.15183442993067342, 0.18455001790323294, 0.1861812761416234)),
+    (_MIXED, 2.0, 3.0,
+     (2.10032179470662, 0.602862348555495, 0.5010087737783117)),
+])
+def test_pinned_against_complex_solve(potential, beta, force, expected):
+    res = solve_overdamped(potential, beta, force)
+    got = (res.drift, res.diffusion, res.diffusion_linear_form)
+    assert got == pytest.approx(expected, rel=1e-11, abs=0)
+
+
 def test_truncation_guard():
     pot = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.2))
     with pytest.raises(ValueError):
