@@ -11,10 +11,17 @@ fig             presets encoding the standard figure parameter sets
 
 Configuration is a JSON file (``--config``) with flat keys overridable by
 flags; all quantities are in the problem's nondimensional units.  Sweep points
-run one after another (``"workers": n`` in the config spreads them over n
+run one after another (``"workers": n``, an integer >= 1, spreads them over n
 threads, which only pays when the solves release the interpreter lock); the
 CSV rows always come out in sweep order, and every float prints with 17
 significant digits, so a rerun is byte-identical.
+
+An adaptive sweep (``transport``, ``expand``, ``einstein-check``) carries the
+Hermite truncation N from point to point: each solve starts at the N the
+previous one converged at (``solve_transport``'s ``start``) and certifies the
+smaller rungs from its converged solution instead of solving them.  A point's
+row is the one a solve from the configured N gives, so rows depend on
+neither the sweep order nor ``workers``.
 """
 
 from __future__ import annotations
@@ -148,6 +155,13 @@ def _sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
     return var, vals
 
 
+def _workers(cfg: dict) -> int:
+    workers = _number(int, cfg["workers"], "workers")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    return workers
+
+
 def _point_params(params: ModelParams, var: str, value) -> ModelParams:
     """``params`` at one sweep point: the force or the friction set to ``value``."""
     if var == "force":
@@ -253,9 +267,29 @@ def _sweep_rows(point_fn, values, workers: int, column: str) -> list[dict]:
 # Subcommand engines
 # ---------------------------------------------------------------------------
 
-def _transport_point(params: ModelParams, trunc: TruncationSpec, adaptive: bool,
-                     scale: bool) -> dict:
-    res = solve_transport(params, trunc, adaptive=adaptive)
+class _Continuation:
+    """``solve_transport`` for the points of one sweep, each solve started at
+    the Hermite truncation the previous converged solve ended at.
+
+    Sweep threads share it without a lock: the result does not depend on the
+    start, so a stale or lost update costs solves, not correctness.
+    """
+
+    def __init__(self, trunc: TruncationSpec, adaptive: bool):
+        self.trunc = trunc
+        self.adaptive = adaptive
+        self.start = None
+
+    def __call__(self, params: ModelParams):
+        res = solve_transport(params, self.trunc, adaptive=self.adaptive,
+                              start=self.start)
+        if not res.diagnostics.get("adaptive_cap_hit"):
+            self.start = res.n_hermite
+        return res
+
+
+def _transport_point(solve: _Continuation, params: ModelParams, scale: bool) -> dict:
+    res = solve(params)
     row = {
         "gamma": params.gamma,
         "F": params.force,
@@ -271,8 +305,6 @@ def _transport_point(params: ModelParams, trunc: TruncationSpec, adaptive: bool,
     }
     if scale:
         scales = reference_scales(params)
-        if scales.critical_force is None:
-            raise ConfigError("--scale requires a single-cosine potential")
         row["F_over_Fc"] = params.force / scales.critical_force
         row["U_over_UL"] = (res.drift / scales.free_drift
                             if scales.free_drift != 0.0 else np.nan)
@@ -290,14 +322,16 @@ def cmd_transport(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     trunc = _build_trunc(cfg)
     var, values = _sweep_values(cfg)
+    workers = _workers(cfg)
     scale = bool(cfg["scale"])
+    if scale and reference_scales(params).critical_force is None:
+        raise ConfigError("--scale requires a single-cosine potential")
+    solve = _Continuation(trunc, bool(cfg["adaptive"]))
 
     def point(v):
-        return _transport_point(_point_params(params, var, v), trunc,
-                                bool(cfg["adaptive"]), scale)
+        return _transport_point(solve, _point_params(params, var, v), scale)
 
-    rows = _sweep_rows(point, values, int(cfg["workers"]),
-                       "F" if var == "force" else "gamma")
+    rows = _sweep_rows(point, values, workers, "F" if var == "force" else "gamma")
     cols = _TRANSPORT_COLS + (_SCALED_COLS if scale else [])
     emit_report(rows, out, cols)
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -314,14 +348,15 @@ def cmd_expand(cfg: dict, out: str) -> int:
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")
+    workers = _workers(cfg)
+    solve = _Continuation(trunc, bool(cfg["adaptive"]))
 
     chain = build_chain(params.with_force(0.0), trunc, order)
     table = diffusion_coefficients(chain)
     radius = series_radius_estimate(chain.v)
 
     def point(F):
-        res = solve_transport(params.with_force(float(F)), trunc,
-                              adaptive=bool(cfg["adaptive"]))
+        res = solve(params.with_force(float(F)))
         row = {"F": float(F), "U_spectral": res.drift, "D_spectral": res.d_primary,
                "f_radius_est": radius}
         for o in orders:
@@ -333,7 +368,7 @@ def cmd_expand(cfg: dict, out: str) -> int:
                                                        "naive_einstein")
         return row
 
-    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
+    rows = _sweep_rows(point, values, workers, "F")
     cols = ["F", "U_spectral", "D_spectral", "f_radius_est"]
     cols += [f"U_order_{o}" for o in orders]
     for o in orders:
@@ -353,6 +388,7 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("overdamped mode sweeps the force")
+    workers = _workers(cfg)
     n_fourier = max(int(cfg["trunc"]["n_fourier"]), 64)
 
     def point(F):
@@ -364,7 +400,7 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
                 "D_O_linear_form": od.diffusion_linear_form,
                 "form_gap": od.residuals["form_gap"]}
 
-    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
+    rows = _sweep_rows(point, values, workers, "F")
     emit_report(rows, out, ["F", "U_O", "U_O_quadrature", "drift_rel_gap",
                             "D_O", "D_O_linear_form", "form_gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -407,19 +443,20 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
     h = (float(s["max"]) - float(s["min"])) / 200.0
     if h <= 0:
         raise ConfigError("einstein-check needs a nonempty force range")
-    adaptive = bool(cfg["adaptive"])
+    workers = _workers(cfg)
+    solve = _Continuation(trunc, bool(cfg["adaptive"]))
 
     def point(F):
         F = float(F)
-        res = solve_transport(params.with_force(F), trunc, adaptive=adaptive)
-        up = solve_transport(params.with_force(F + h), trunc, adaptive=adaptive)
-        dn = solve_transport(params.with_force(F - h), trunc, adaptive=adaptive)
+        res = solve(params.with_force(F))
+        up = solve(params.with_force(F + h))
+        dn = solve(params.with_force(F - h))
         dudf = (up.drift - dn.drift) / (2.0 * h)
         naive = dudf / params.beta
         return {"F": F, "D_spectral": res.d_primary, "beta_inv_dUdF": naive,
                 "gap": res.d_primary - naive}
 
-    rows = _sweep_rows(point, values, int(cfg["workers"]), "F")
+    rows = _sweep_rows(point, values, workers, "F")
     emit_report(rows, out, ["F", "D_spectral", "beta_inv_dUdF", "gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
 

@@ -476,44 +476,137 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
 # ---------------------------------------------------------------------------
 
 # Adaptive truncation: double N until both top-level ratios are at most
-# _ADAPT_TOL, but never past _N_HERMITE_MAX levels.
+# _ADAPT_TOL, but never past _N_HERMITE_MAX levels.  A rung skipped by sweep
+# continuation counts as failed when the converged solution's level there
+# exceeds _CERT_FACTOR * _ADAPT_TOL.
 _ADAPT_TOL = 1e-8
+_CERT_FACTOR = 2.0
 _N_HERMITE_MAX = 8192
 
 
+def _level_ratio(coeffs: np.ndarray, n: int) -> float:
+    """max |level n| relative to max |all levels|."""
+    scale = max(float(np.abs(coeffs).max()), 1e-300)
+    return float(np.abs(coeffs[n]).max()) / scale
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One solved truncation of :func:`solve_transport`'s ladder."""
+
+    density: StationaryDensity
+    phi: HermiteFourierField
+    cell_diag: dict
+
+    def envelope(self, n: int) -> float:
+        """The larger level-n ratio of the density and the cell solution."""
+        return max(_level_ratio(self.density.field.coeffs, n),
+                   _level_ratio(self.phi.coeffs, n))
+
+    @property
+    def converged(self) -> bool:
+        return (self.density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
+                and _level_ratio(self.phi.coeffs, -1) <= _ADAPT_TOL)
+
+
 def solve_transport(params: ModelParams, trunc: TruncationSpec,
-                    adaptive: bool = False) -> TransportResult:
+                    adaptive: bool = False, start: int | None = None) -> TransportResult:
     """Stationary density + cell problem + diffusion in one call.
 
-    With ``adaptive=True`` the Hermite truncation is doubled until the top
-    level of both the density and the cell solution falls below ``_ADAPT_TOL``
-    relative to the field norm (needed in the small-friction regime, where the
-    hierarchy decays slowly), up to ``_N_HERMITE_MAX`` levels.
+    With ``adaptive=True`` the Hermite truncation climbs the ladder
+    n0, 2 n0, 4 n0, .. (n0 = ``trunc.n_hermite``, rungs up to
+    ``_N_HERMITE_MAX``) and stops at the first rung where the top level of
+    both the density and the cell solution is at most ``_ADAPT_TOL`` relative
+    to the field's largest level (needed in the small-friction regime, where
+    the hierarchy decays slowly).  A rung whose solve raises
+    :class:`SolverError` counts as failed; at the last rung the error, or an
+    unconverged result flagged ``adaptive_cap_hit``, is returned.
+
+    ``start`` (adaptive only) is sweep continuation: a rung above n0, usually
+    the one the previous sweep point converged at.  The ladder then climbs
+    from ``start``, and once it converges at rung N every untried rung r below
+    ``start`` is certified from the converged fields alone: r counts as
+    failed when max(|R_r|/max|R|, |Phi_r|/max|Phi|) > ``_CERT_FACTOR`` *
+    ``_ADAPT_TOL``.  Rungs that do not certify are solved for real in
+    ascending order, and the lowest one that converges is the answer.  Every
+    other case climbs the ladder from n0 as without ``start``: a ``start``
+    off the ladder or at most n0, a SolverError, or the cap reached
+    unconverged.
+
+    Exactness: the answer is the rung, and so the result bit for bit, that the
+    ladder from n0 gives whenever a rung the certificate marks as failed would
+    really fail when solved.  That is one empirical premise: a truncation at
+    r does not converge when the converged solution's level r sits more than
+    ``_CERT_FACTOR`` times above the tolerance.  ``tests/test_transport.py``
+    guards it on the fig1 sweeps.
+
+    ``diagnostics`` records the ladder: ``ladder_start`` (the rung the
+    returned answer's climb began at), ``rungs_solved`` (truncations solved
+    in this call) and ``rungs_certified`` (rungs below the answer skipped as
+    certified failures).
     """
     blocks = hierarchy_blocks(params, trunc)
-    cur = trunc
-    while True:
-        try:
-            density = solve_stationary_fp(params, cur, blocks=blocks)
-            phi, cell_diag = _solve_cell(params, cur, density)
-        except SolverError:
-            # below a working truncation the hierarchy closure is often
-            # singular or loses solvability; retry larger before giving up
-            if adaptive and 2 * cur.n_hermite <= _N_HERMITE_MAX:
-                cur = cur.with_n_hermite(2 * cur.n_hermite)
-                continue
-            raise
-        pscale = max(float(np.abs(phi.coeffs).max()), 1e-300)
-        top_phi = float(np.abs(phi.coeffs[cur.n_hermite]).max()) / pscale
-        converged = (
-            density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
-            and top_phi <= _ADAPT_TOL
-        )
-        if not adaptive or converged or 2 * cur.n_hermite > _N_HERMITE_MAX:
-            result = compute_diffusion(density, phi, params)
-            diagnostics = dict(result.diagnostics)
-            diagnostics.update(cell_diag)
-            if adaptive and not converged:
-                diagnostics["adaptive_cap_hit"] = True
-            return replace(result, diagnostics=diagnostics)
-        cur = cur.with_n_hermite(2 * cur.n_hermite)
+    n0 = trunc.n_hermite
+    rungs = [n0]
+    while adaptive and 2 * rungs[-1] <= _N_HERMITE_MAX:
+        rungs.append(2 * rungs[-1])
+    solved = 0
+
+    def solve(n: int) -> _Rung:
+        nonlocal solved
+        solved += 1
+        cur = trunc.with_n_hermite(n)
+        density = solve_stationary_fp(params, cur, blocks=blocks)
+        phi, cell_diag = _solve_cell(params, cur, density)
+        return _Rung(density, phi, cell_diag)
+
+    def climb(ladder: list[int]) -> _Rung | None:
+        """First converged rung, or None on a SolverError or at the cap."""
+        for n in ladder:
+            try:
+                rung = solve(n)
+            except SolverError:
+                return None
+            if rung.converged:
+                return rung
+        return None
+
+    answer, certified = None, 0
+    if start in rungs[1:]:
+        below = rungs[:rungs.index(start)]
+        answer = climb(rungs[rungs.index(start):])
+        if answer is not None:
+            ladder_start, top = start, answer
+            for n in below:   # ascending: `certified` counts the rungs below n
+                if top.envelope(n) > _CERT_FACTOR * _ADAPT_TOL:
+                    certified += 1
+                    continue
+                try:
+                    rung = solve(n)
+                except SolverError:
+                    continue
+                if rung.converged:
+                    answer = rung
+                    break
+    if answer is None:
+        ladder_start, certified = n0, 0
+        for i, n in enumerate(rungs):
+            try:
+                answer = solve(n)
+            except SolverError:
+                # below a working truncation the hierarchy closure is often
+                # singular or loses solvability; retry larger before giving up
+                if i + 1 < len(rungs):
+                    continue
+                raise
+            if answer.converged:
+                break
+
+    result = compute_diffusion(answer.density, answer.phi, params)
+    diagnostics = dict(result.diagnostics)
+    diagnostics.update(answer.cell_diag)
+    if adaptive and not answer.converged:
+        diagnostics["adaptive_cap_hit"] = True
+    diagnostics.update(ladder_start=ladder_start, rungs_solved=solved,
+                       rungs_certified=certified)
+    return replace(result, diagnostics=diagnostics)

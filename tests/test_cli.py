@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import washboard.cli as cli
+import washboard.transport as transport
+from test_transport import _count_solves
 from washboard.cli import FIG_PRESETS, emit_report, main, parse_report
 from washboard.model import PeriodicPotential
 from washboard.overdamped import stratonovich_drift
@@ -207,6 +210,32 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["two", 0, -1, [2]])
+@pytest.mark.parametrize("command", ["transport", "expand", "overdamped",
+                                     "einstein-check"])
+def test_workers_must_be_a_positive_integer(tmp_path, capsys, command, workers):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"workers": workers}))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scale_needs_a_single_cosine_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(cli, "solve_transport", no_solve)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"potential": {"L": 1.0, "cos": [1.0, 0.3]},
+                                "scale": True, "sweep": {"count": 3}}))
+    out = tmp_path / "x.csv"
+    assert main(["transport", "--config", str(path), "--out", str(out)]) == 1
+    assert "single-cosine" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_top_level_json_list_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([{"gamma": 1.0}]))
@@ -303,3 +332,54 @@ def test_console_entry_point(tmp_path, flat_config):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_report(out)[0]["U"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _fig1_gamma1(tmp_path, **extra):
+    [(_, cfg, _)] = [entry for entry in FIG_PRESETS["fig1"] if entry[2] == "gamma1.0"]
+    path = tmp_path / "fig1_gamma1.json"
+    path.write_text(json.dumps(dict(cfg, **extra)))
+    return str(path)
+
+
+def _transport_bytes(tmp_path, config, name):
+    out = tmp_path / name
+    assert main(["transport", "--config", config, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
+    # fig1 at gamma=1: N rises 64 -> 256 along the sweep
+    config = _fig1_gamma1(tmp_path)
+    calls = _count_solves(monkeypatch)
+    continued = _transport_bytes(tmp_path, config, "continued.csv")
+    n_continued = len(calls)
+
+    del calls[:]
+    with monkeypatch.context() as m:   # no rung certifies: every one is solved
+        m.setattr(transport, "_CERT_FACTOR", np.inf)
+        uncertified = _transport_bytes(tmp_path, config, "uncertified.csv")
+    n_uncertified = len(calls)
+
+    del calls[:]
+    solve = cli.solve_transport
+    monkeypatch.setattr(cli, "solve_transport",
+                        lambda params, trunc, adaptive, start: solve(params, trunc, adaptive))
+    ladder = _transport_bytes(tmp_path, config, "ladder.csv")
+
+    assert continued == uncertified == ladder
+    assert n_uncertified == len(calls) == 20
+    assert n_continued == 14
+
+
+def test_continued_sweep_rows_do_not_depend_on_workers(tmp_path):
+    # the sweep's threads share the carried start rung; with more threads
+    # than cores and frequent switches, points see each other's starts
+    one = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=1), "one.csv")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        two = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=2), "two.csv")
+        four = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=4), "four.csv")
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == two == four

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from washboard import transport
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec, packed_dq_matrix
 from washboard.expansion import assemble_generator
@@ -368,3 +369,156 @@ def test_mismatched_shapes_in_diffusion():
     density2 = solve_stationary_fp(params, TruncationSpec(32, 8))
     with pytest.raises(ValueError):
         compute_diffusion(density2, phi, params)
+
+
+# ---------------------------------------------------------------------------
+# Sweep continuation of the adaptive ladder
+# ---------------------------------------------------------------------------
+
+_LADDER_KEYS = ("ladder_start", "rungs_solved", "rungs_certified")
+
+
+def _fig1_sweep(gamma):
+    """fig1's parameters at one friction: params at F=0, n0 = 64, and the
+    twelve forces 0.1 .. 2.2 F_c in sweep order."""
+    v0 = np.pi ** 2 / 16.0
+    params = ModelParams(gamma=gamma, beta=1.2 / v0, force=0.0,
+                         potential=PeriodicPotential.cosine(v0, 2 * np.pi))
+    fc = 3.36 * gamma * np.sqrt(v0)
+    return params, TruncationSpec(64, 24), np.linspace(0.1 * fc, 2.2 * fc, 12)
+
+
+def _same_result(a, b):
+    assert (a.drift, a.d_primary, a.d_ibp, a.d_ibp_stability, a.n_hermite) == \
+        (b.drift, b.d_primary, b.d_ibp, b.d_ibp_stability, b.n_hermite)
+    strip = lambda d: {k: v for k, v in d.items() if k not in _LADDER_KEYS}
+    assert strip(a.diagnostics) == strip(b.diagnostics)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = transport.solve_stationary_fp
+
+    def counted(params, trunc, blocks=None):
+        calls.append(trunc.n_hermite)
+        return original(params, trunc, blocks=blocks)
+
+    monkeypatch.setattr(transport, "solve_stationary_fp", counted)
+    return calls
+
+
+def test_continuation_down_a_sweep_matches_fresh_solves():
+    # 2.2 F_c down to 0.1 F_c at gamma=1: the needed N falls 256 -> 64, so
+    # the start rung lies above the answer and the lower rungs are solved
+    params, trunc, forces = _fig1_sweep(1.0)
+    start, trail = None, []
+    for F in forces[::-1]:
+        p = params.with_force(F)
+        res = solve_transport(p, trunc, adaptive=True, start=start)
+        _same_result(res, solve_transport(p, trunc, adaptive=True))
+        trail.append((res.n_hermite, res.diagnostics["ladder_start"]))
+        start = res.n_hermite
+    assert trail[0] == (256, 64) and trail[-1] == (64, 64)
+    assert (128, 256) in trail and (64, 128) in trail
+
+
+def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
+    params, trunc, forces = _fig1_sweep(0.1)
+    calls = _count_solves(monkeypatch)
+    first = solve_transport(params.with_force(forces[0]), trunc, adaptive=True)
+    assert calls == [64, 128, 256]
+    p = params.with_force(forces[1])
+    del calls[:]
+    res = solve_transport(p, trunc, adaptive=True, start=first.n_hermite)
+    assert calls == [256]
+    assert {k: res.diagnostics[k] for k in _LADDER_KEYS} == \
+        {"ladder_start": 256, "rungs_solved": 1, "rungs_certified": 2}
+    _same_result(res, solve_transport(p, trunc, adaptive=True))
+
+
+@pytest.mark.parametrize("start", [96, 64, 32, 0])
+def test_start_off_the_ladder_is_ignored(monkeypatch, start):
+    params, trunc, forces = _fig1_sweep(1.0)
+    p = params.with_force(forces[-1])
+    fresh = solve_transport(p, trunc, adaptive=True)
+    calls = _count_solves(monkeypatch)
+    res = solve_transport(p, trunc, adaptive=True, start=start)
+    assert calls == [64, 128, 256]
+    assert res.diagnostics["ladder_start"] == 64
+    _same_result(res, fresh)
+
+
+def test_start_is_ignored_without_adaptive(monkeypatch):
+    params, trunc, forces = _fig1_sweep(1.0)
+    p = params.with_force(forces[-1])
+    calls = _count_solves(monkeypatch)
+    res = solve_transport(p, trunc, start=128)
+    assert calls == [64] and res.n_hermite == 64
+
+
+def test_solver_error_at_start_falls_back_to_the_ladder(monkeypatch):
+    params, trunc, forces = _fig1_sweep(1.0)
+    p = params.with_force(forces[0])                     # converges at n0 = 64
+    fresh = solve_transport(p, trunc, adaptive=True)
+    original = transport.solve_stationary_fp
+    calls = []
+
+    def failing(params, trunc, blocks=None):
+        calls.append(trunc.n_hermite)
+        if trunc.n_hermite == 256:
+            raise SolverError("singular closure block")
+        return original(params, trunc, blocks=blocks)
+
+    monkeypatch.setattr(transport, "solve_stationary_fp", failing)
+    res = solve_transport(p, trunc, adaptive=True, start=256)
+    assert calls == [256, 64]
+    assert res.diagnostics["ladder_start"] == 64
+    assert res.diagnostics["rungs_solved"] == 2
+    _same_result(res, fresh)
+
+
+def test_cap_hit_from_start_falls_back_to_the_ladder(monkeypatch):
+    # 2.2 F_c needs N = 256; with the cap at 128 no rung converges
+    monkeypatch.setattr(transport, "_N_HERMITE_MAX", 128)
+    params, trunc, forces = _fig1_sweep(1.0)
+    p = params.with_force(forces[-1])
+    fresh = solve_transport(p, trunc, adaptive=True)
+    assert fresh.diagnostics["adaptive_cap_hit"] and fresh.n_hermite == 128
+    calls = _count_solves(monkeypatch)
+    res = solve_transport(p, trunc, adaptive=True, start=128)
+    assert calls == [128, 64, 128]
+    assert res.diagnostics["ladder_start"] == 64
+    _same_result(res, fresh)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0])
+def test_certified_rungs_really_fail(gamma):
+    # The one premise of continuation's exactness: a rung whose level in a
+    # converged solution exceeds _CERT_FACTOR * _ADAPT_TOL does not converge
+    # when solved.  Checked at every fig1 point of this friction, from the
+    # solution at every converged rung up to 512 (the sweeps need at most 256,
+    # so this covers every start continuation can carry in); a basis change
+    # that breaks the premise fails here.
+    params, trunc, forces = _fig1_sweep(gamma)
+    tol = transport._ADAPT_TOL
+    margins = []
+    for F in forces:
+        p = params.with_force(F)
+        blocks = hierarchy_blocks(p, trunc)
+        rungs = {}
+        for n in (64, 128, 256, 512):
+            cur = trunc.with_n_hermite(n)
+            try:
+                density = solve_stationary_fp(p, cur, blocks=blocks)
+                phi = solve_cell_problem(p, cur, density)
+                rungs[n] = transport._Rung(density, phi, {})
+            except SolverError:
+                rungs[n] = None
+        for N, top in rungs.items():
+            if top is None or not top.converged:
+                continue
+            for r, rung in rungs.items():
+                if r < N and top.envelope(r) > transport._CERT_FACTOR * tol:
+                    margins.append(np.inf if rung is None else rung.envelope(r) / tol)
+    assert len(margins) >= 12
+    assert min(margins) > 1.0
