@@ -19,8 +19,7 @@ from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
                         solve_transport)
 from .expansion import (EquilibriumChain, ExpansionTable, build_chain,
                         diffusion_coefficients, partial_sum_D, partial_sum_U,
-                        series_radius_estimate, solve_equilibrium_poisson,
-                        velocity_coefficient)
+                        series_radius_estimate, velocity_coefficient)
 from .overdamped import (OverdampedResult, check_overdamped_asymptotics,
                          lifson_jackson_diffusion, solve_overdamped,
                          stratonovich_drift)
@@ -39,7 +38,7 @@ __all__ = [
     "solve_cell_problem", "solve_stationary_fp", "solve_transport",
     "EquilibriumChain", "ExpansionTable", "build_chain",
     "diffusion_coefficients", "partial_sum_D", "partial_sum_U",
-    "series_radius_estimate", "solve_equilibrium_poisson", "velocity_coefficient",
+    "series_radius_estimate", "velocity_coefficient",
     "OverdampedResult", "check_overdamped_asymptotics",
     "lifson_jackson_diffusion", "solve_overdamped", "stratonovich_drift",
     "McConfig", "McEstimate", "estimate_with_error_target", "simulate",

@@ -98,6 +98,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
                               f"not a {type(loaded).__name__}")
         cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, overrides)
+    for key in ("adaptive", "scale"):   # bool("no") would be true
+        if not isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
     return cfg
 
 
@@ -323,10 +326,10 @@ def cmd_transport(cfg: dict, out: str) -> int:
     trunc = _build_trunc(cfg)
     var, values = _sweep_values(cfg)
     workers = _workers(cfg)
-    scale = bool(cfg["scale"])
+    scale = cfg["scale"]
     if scale and reference_scales(params).critical_force is None:
         raise ConfigError("--scale requires a single-cosine potential")
-    solve = _Continuation(trunc, bool(cfg["adaptive"]))
+    solve = _Continuation(trunc, cfg["adaptive"])
 
     def point(v):
         return _transport_point(solve, _point_params(params, var, v), scale)
@@ -349,7 +352,7 @@ def cmd_expand(cfg: dict, out: str) -> int:
     if var != "force":
         raise ConfigError("expand mode sweeps the force")
     workers = _workers(cfg)
-    solve = _Continuation(trunc, bool(cfg["adaptive"]))
+    solve = _Continuation(trunc, cfg["adaptive"])
 
     chain = build_chain(params.with_force(0.0), trunc, order)
     table = diffusion_coefficients(chain)
@@ -389,7 +392,7 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
     if var != "force":
         raise ConfigError("overdamped mode sweeps the force")
     workers = _workers(cfg)
-    n_fourier = max(int(cfg["trunc"]["n_fourier"]), 64)
+    n_fourier = max(_number(int, cfg["trunc"]["n_fourier"], "n_fourier"), 64)
 
     def point(F):
         od = solve_overdamped(params.potential, params.beta, float(F), n_fourier)
@@ -444,7 +447,7 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
     if h <= 0:
         raise ConfigError("einstein-check needs a nonempty force range")
     workers = _workers(cfg)
-    solve = _Continuation(trunc, bool(cfg["adaptive"]))
+    solve = _Continuation(trunc, cfg["adaptive"])
 
     def point(F):
         F = float(F)

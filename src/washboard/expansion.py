@@ -17,7 +17,10 @@ the F^l coefficient of (1/beta) dU/dF, fails beyond linear response.
 Each Poisson problem is solved as one sparse block-tridiagonal system over all
 Hermite levels, bordered by the mean-zero constraint row (the right-hand sides
 here populate every level, so the level-recursion shortcut used by the
-nonperturbative solver buys nothing).
+nonperturbative solver buys nothing).  Both chains share one factorization:
+the adjoint is the momentum-flip conjugate -Lhat0 = J (-L0) J with
+J = diag((-1)^m) over the Hermite levels, and J fixes level 0, where the
+border row and column live.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "ExpansionTable",
     "assemble_generator",
     "EquilibriumPoissonSolver",
-    "solve_equilibrium_poisson",
     "build_chain",
     "velocity_coefficient",
     "diffusion_coefficients",
@@ -59,19 +61,17 @@ __all__ = [
 # Operator assembly
 # ---------------------------------------------------------------------------
 
-def assemble_generator(params: ModelParams, trunc: TruncationSpec,
-                       adjoint: bool = False) -> sp.csr_matrix:
-    """Sparse matrix of -L (or -Lhat at F = 0) on stacked level coefficients.
+def assemble_generator(params: ModelParams, trunc: TruncationSpec) -> sp.csr_matrix:
+    """Sparse matrix of -L on stacked level coefficients.
 
     Level m couples to m-1 and m+1 through d/dq and the tilt drift; the
-    Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  The
-    adjoint flips the sign of the transport (antisymmetric) part.  With
-    sgn = -1 for the adjoint and +1 otherwise, and d_q, T the blocks of
-    :func:`~washboard.transport.hierarchy_blocks`, the blocks of level m are
+    Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  With
+    d_q, T the blocks of :func:`~washboard.transport.hierarchy_blocks`, the
+    blocks of level m are
 
-        sub-diagonal    (-sgn sqrt(m/beta)) d_q
+        sub-diagonal    -sqrt(m/beta) d_q
         diagonal        gamma m I
-        super-diagonal  (-sgn sqrt((m+1)/beta)) d_q - (sgn sqrt(beta (m+1))) T
+        super-diagonal  -sqrt((m+1)/beta) d_q - sqrt(beta (m+1)) T
 
     All levels are assembled in one COO pass.  The stored structure is part of
     the contract, because splu's COLAMD ordering depends on which entries are
@@ -84,18 +84,16 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec,
     the float range).
     """
     blocks = hierarchy_blocks(params, trunc)
-    if adjoint and params.force != 0.0:
-        raise ValueError("adjoint generator is only used for the F = 0 chain")
     N, size = trunc.n_hermite, blocks.size
     n = (N + 1) * size
-    beta, sgn = params.beta, (-1.0 if adjoint else 1.0)
+    beta = params.beta
     d_q, tilt = blocks.d_q, blocks.tilt
     lower = size * np.arange(N)[:, None]   # first row of levels 0..N-1
     upper = lower + size                   # first row of levels 1..N
     up = np.arange(1, N + 1)
     # a[m-1] scales d_q in the sub-block of level m and the super-block of m-1
-    a = (-sgn * np.sqrt(up / beta))[:, None]
-    b = (sgn * np.sqrt(beta * up))[:, None]
+    a = (-np.sqrt(up / beta))[:, None]
+    b = np.sqrt(beta * up)[:, None]
     i_d, j_d = np.nonzero(d_q)
     i_u, j_u = np.nonzero((d_q != 0) | (tilt != 0))
     diag = np.arange(n)
@@ -132,20 +130,19 @@ _SOLVABILITY_TOL = 1e-9
 
 
 class EquilibriumPoissonSolver:
-    """Factorized bordered solver for -L0 psi = u (or -Lhat0 psi = u).
+    """Factorized bordered solver for -L0 psi = u.
 
     The border row enforces <psi, 1>_beta = 0 and the border column absorbs
     the (spectrally small) discrete solvability defect, returned as ``lam``.
     The factorization is reused across right-hand sides.
     """
 
-    def __init__(self, params: ModelParams, trunc: TruncationSpec, adjoint: bool):
+    def __init__(self, params: ModelParams, trunc: TruncationSpec):
         if params.force != 0.0:
             raise ValueError("equilibrium Poisson solver requires force = 0")
         self.params = params
         self.trunc = trunc
-        self.adjoint = adjoint
-        A = assemble_generator(params, trunc, adjoint=adjoint)
+        A = assemble_generator(params, trunc)
         t = _mean_functional(params, trunc)
         n = A.shape[0]
         e0 = sp.csc_matrix((np.ones(1), (np.zeros(1, int), np.zeros(1, int))), shape=(n, 1))
@@ -185,18 +182,15 @@ class EquilibriumPoissonSolver:
         return fld, lam, residual
 
 
-def solve_equilibrium_poisson(rhs: HermiteFourierField, adjoint: bool,
-                              params: ModelParams, trunc: TruncationSpec
-                              ) -> HermiteFourierField:
-    """One-shot mean-zero solve of -L0 psi = rhs (adjoint: -Lhat0 psi = rhs)."""
-    solver = EquilibriumPoissonSolver(params, trunc, adjoint)
-    psi, _, _ = solver.solve(rhs)
-    return psi
-
-
 # ---------------------------------------------------------------------------
 # The chain
 # ---------------------------------------------------------------------------
+
+def _flip_momentum(field: HermiteFourierField) -> HermiteFourierField:
+    """J field with J = diag((-1)^m) over the Hermite levels (p -> -p)."""
+    signs = np.where(np.arange(field.n_hermite + 1) % 2, -1.0, 1.0)
+    return field.with_coeffs(signs[:, None] * field.coeffs)
+
 
 @dataclass(frozen=True)
 class EquilibriumChain:
@@ -222,8 +216,11 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     """Solve the equilibrium chain up to the given order (default figure runs
     use order 9).
 
-    f_j is produced by repeated adjoint-solve of the raised previous member;
-    V_j is needed on the fly because it enters the phi_j right-hand side.
+    f_j is produced by repeated adjoint-solve of the raised previous member.
+    The adjoint needs no factorization of its own: with J = diag((-1)^m),
+    -Lhat0 = J (-L0) J, so f_j = J psi where -L0 psi = J a+ f_{j-1} is solved
+    on the factorization that also serves the phi chain.  V_j is needed on
+    the fly because it enters the phi_j right-hand side.
     phi_j's additive constant is fixed afterwards by the side condition
     <phi_j, 1> = -sum_r <f_r, phi_{j-r}> (constants lie in the kernel, so the
     shift is exact).
@@ -238,8 +235,7 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     L = params.potential.period
     beta = params.beta
 
-    adj = EquilibriumPoissonSolver(params, trunc, adjoint=True)
-    fwd = EquilibriumPoissonSolver(params, trunc, adjoint=False)
+    solver = EquilibriumPoissonSolver(params, trunc)
     grid = GibbsQuadrature(params, N, M)
     p_field = HermiteFourierField.momentum(N, M, L, beta)
     pvals = grid.values(p_field)
@@ -253,9 +249,10 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     for j in range(1, order + 1):
         rhs = apply_raise(fs[j - 1])
         try:
-            f, lam, res = adj.solve(rhs)
+            f, lam, res = solver.solve(_flip_momentum(rhs))
         except SolverError as exc:
             raise SolverError(f"f-chain solve failed at j={j}: {exc}") from exc
+        f = _flip_momentum(f)
         fs.append(f)
         f_vals.append(grid.values(f))
         lams[f"f{j}"] = lam
@@ -267,19 +264,19 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
 
     phis = []
     phi_vals = []
-    phi0, lam, res = fwd.solve(p_field)
+    phi0, lam, res = solver.solve(p_field)
     phis.append(phi0)
     phi_vals.append(grid.values(phi0))
     lams["phi0"] = lam
     residuals["phi0"] = res
     for j in range(1, order):
         lowered = apply_lower(phis[j - 1])
-        mean_lowered = fwd.mean(lowered)
+        mean_lowered = solver.mean(lowered)
         solvability[f"phi{j}"] = abs(mean_lowered - v[j])
         rhs = lowered.plus(
             HermiteFourierField.constant(-v[j], N, M, L, beta))
         try:
-            phi, lam, res = fwd.solve(rhs)
+            phi, lam, res = solver.solve(rhs)
         except SolverError as exc:
             raise SolverError(
                 f"phi-chain solvability failed at j={j}: "

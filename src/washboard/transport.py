@@ -21,7 +21,10 @@ Its Schur complements are therefore -W^{-1} G_n^T W, and the same inverses,
 applied transposed, give the density level by level.  One factorization per
 truncation serves both problems.  The drift is read off the stationary
 density, the diffusion coefficient from pairing the density with the cell
-solution, cross-checked against the gradient-squared form.
+solution, cross-checked against the gradient-squared form.  The singular
+level-0 block left by the elimination has the exact kernels e0 (right) and
+W R_0 (left); the cell solve uses them directly, and flags a failed truncation
+by a LAPACK reciprocal condition estimate below 1e-10.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrf, dgetri, dgetri_lwork
+from scipy.linalg.lapack import dgecon, dgesv, dgetrf, dgetri, dgetri_lwork, dgetrs
 from scipy.special import roots_hermitenorm
 
 from .model import ModelParams
@@ -124,8 +127,9 @@ class HierarchyFactors:
     """Inverses of the cell hierarchy's Schur complements G_1..G_N.
 
     ``bottom`` is the level-0 block Q_0^- S_0 left after the elimination; it
-    is singular (constants solve the homogeneous problem).  ``params`` and
-    ``trunc`` record the problem the factors belong to.
+    is singular, with column 0 exactly zero (constants solve the homogeneous
+    problem).  ``params`` and ``trunc`` record the problem the factors
+    belong to.
     """
 
     params: ModelParams
@@ -271,11 +275,14 @@ def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
                        density: StationaryDensity) -> HermiteFourierField:
     """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
 
-    The bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,
-    a rank-deficient system whose one-dimensional null direction is fixed by the
-    discretized centering condition  sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0.
-    The factors come from ``density``, which must be solved for the same
-    params and truncation.
+    The bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,  with
+    right null vector e0 and left null vector W R_0.  Phi_0 with Phi_0^0 = 0
+    solves it with W R_0 in place of column 0 (a reciprocal condition number
+    below 1e-10 raises SolverError), the levels above follow with one
+    right-hand side, and the discretized centering condition
+    sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0  then fixes Phi_0^0.  The factors
+    come from ``density``, which must be solved for the same params and
+    truncation.
     """
     phi, _ = _solve_cell(params, trunc, density)
     return phi
@@ -292,59 +299,48 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
     N = trunc.n_hermite
     L = params.potential.period
     beta = params.beta
+    R = density.field.coeffs
 
-    size = blocks.size
-    e0 = np.zeros(size)
-    e0[0] = 1.0
-    # rows 0 and 1 carry the right-hand side: B on row 0, A = -e0 on row 1
-    B = np.sqrt(beta) * density.drift * e0
-    A = -e0
-    M0 = factors.bottom
-    rhs0 = B - blocks.drift @ factors.solve(1, A)       # Q_0^- = drift
+    # rhs_0 = B - Q_0^- G_1^{-1} A with B = sqrt(beta) U e0 on row 0,
+    # A = -e0 on row 1 and Q_0^- = drift
+    rhs0 = blocks.drift @ factors.inverses[1][:, 0]
+    rhs0[0] += np.sqrt(beta) * density.drift
 
-    Um, sv, Vt = np.linalg.svd(M0)
-    rank_tol = sv[0] * 1e-10
-    nullity = int(np.sum(sv < rank_tol))
-    if nullity != 1:
-        raise SolverError(
-            f"bottom-block null space has dimension {nullity}, expected 1; "
-            "truncation failure"
-        )
-    defect = abs(float(Um[:, -1] @ rhs0))
-    rhs_scale = max(float(np.linalg.norm(rhs0)), 1e-300)
-    # The left-null component must vanish in exact arithmetic; the min-norm
-    # solve projects it out, so a small defect (roundoff amplified by the
+    left_null = blocks.metric * R[0]
+    # The left-null component must vanish in exact arithmetic; the solve
+    # below absorbs it, so a small defect (roundoff amplified by the
     # recursion in the deep-underdamped transition region) is recorded rather
     # than fatal.  A large one means the truncation genuinely failed.
+    defect = abs(float(left_null @ rhs0))
+    rhs_scale = max(float(np.linalg.norm(left_null) * np.linalg.norm(rhs0)), 1e-300)
     if defect > 1e-3 * rhs_scale:
         raise SolverError(
             f"solvability violated: left-null component {defect:.3e} "
-            f"exceeds 1e-3 of |rhs| = {rhs_scale:.3e}"
+            f"exceeds 1e-3 of |W R_0| |rhs| = {rhs_scale:.3e}"
         )
-    inv_sv = np.where(sv > rank_tol, 1.0 / np.where(sv > rank_tol, sv, 1.0), 0.0)
-    phi0_min = Vt.T @ (inv_sv * (Um.T @ rhs0))
-    null_dir = Vt[-1]
+    K = factors.bottom.copy()
+    K[:, 0] = left_null
+    lu, piv, info = dgetrf(K)
+    _check_info(info, "cell bottom block is singular; truncation failure")
+    rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
+    if rcond < 1e-10:
+        raise SolverError(f"cell bottom block is ill-conditioned (rcond {rcond:.2e}); "
+                          "truncation failure")
 
-    # Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}) level by level: column 0
-    # grows the particular solution from phi0_min (rhs_1 = A), column 1 the
-    # homogeneous one from the null direction
-    lev = np.empty((N + 1, size, 2))
-    lev[0, :, 0] = phi0_min
-    lev[0, :, 1] = null_dir
+    # Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}) level by level, rhs_1 = A
+    levels = np.empty((N + 1, blocks.size))
+    levels[0] = dgetrs(lu, piv, rhs0)[0]
+    levels[0, 0] = 0.0
     for n in range(1, N + 1):
-        b = blocks.d_q @ lev[n - 1]
+        b = blocks.d_q @ levels[n - 1]
         b *= -np.sqrt(n)
         if n == 1:
-            b[:, 0] += A
-        lev[n] = factors.solve(n, b)
+            b[0] -= 1.0
+        levels[n] = factors.solve(n, b)
+    # centering: the null vector e0 pairs with R_0^0 alone
+    levels[0, 0] -= np.einsum("ns,ns->", R * blocks.metric, levels) / R[0, 0]
 
-    R = density.field.coeffs
-    c_star, c_null = np.einsum("ns,nsk->k", R * blocks.metric, lev)
-    if abs(c_null) < 1e-14 * max(abs(c_star), 1.0):
-        raise SolverError("centering condition degenerate along the null direction")
-    levels = lev[:, :, 0] - (c_star / c_null) * lev[:, :, 1]
-
-    diag = {"nullity": nullity, "solvability_defect": defect / rhs_scale}
+    diag = {"solvability_defect": defect / rhs_scale}
     return HermiteFourierField(levels, L, beta), diag
 
 

@@ -197,9 +197,11 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("mc", {"mc": dict(_MC_SMALL, n_traj=1)}),
     ("mc", {"mc": dict(_MC_SMALL, dt=-0.01)}),
     ("mc", {"mc": dict(_MC_SMALL, n_burnin=200)}),
+    ("overdamped", {"trunc": {"n_fourier": "x"}}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
         "order", "orders", "mc-n-traj",
-        "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in"])
+        "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in",
+        "overdamped-n-fourier"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -219,6 +221,21 @@ def test_workers_must_be_a_positive_integer(tmp_path, capsys, command, workers):
     out = tmp_path / "x.csv"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, [True]])
+@pytest.mark.parametrize("command,key", [("transport", "adaptive"),
+                                         ("expand", "adaptive"),
+                                         ("einstein-check", "adaptive"),
+                                         ("transport", "scale")])
+def test_flags_must_be_json_booleans(tmp_path, capsys, command, key, value):
+    # bool("no") is True: a string must not switch the adaptive ladder on
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({key: value}))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert f"{key} must be true or false" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import HermiteFourierField, TruncationSpec, apply_lower
+from washboard.basis import HermiteFourierField, TruncationSpec, apply_lower, apply_raise
 from washboard.expansion import (EquilibriumPoissonSolver, _mean_functional,
                                  assemble_generator, build_chain,
                                  diffusion_coefficients, partial_sum_D,
                                  partial_sum_U, series_radius_estimate,
-                                 solve_equilibrium_poisson, velocity_coefficient)
+                                 velocity_coefficient)
 from washboard.transport import SolverError, hierarchy_blocks, solve_transport
 
 from packed_reference import reference_dq_matrix, reference_mult_matrix
@@ -69,6 +70,16 @@ def _block_generator(params, trunc, adjoint=False):
     return sp.bmat(rows, format="csr")
 
 
+def _momentum_conjugate(A, size):
+    """J A J with J = diag((-1)^m) over the levels: each stored entry of A
+    flipped by (-1)^(m_row + m_col), the stored structure kept."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) // size
+    cols = A.indices // size
+    B = A.copy()
+    B.data = np.where((rows + cols) % 2, -A.data, A.data)
+    return B
+
+
 def _assert_same_csr(A, B):
     assert type(A) is type(B)
     assert A.shape == B.shape
@@ -89,10 +100,13 @@ _MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
 ])
 def test_generator_matches_block_assembly(gamma, potential, n_fourier, force,
                                           adjoint, n_hermite):
+    # the adjoint -Lhat0 the chain solves through is J (-L0) J, bit for bit
     params = ModelParams(gamma=gamma, beta=5.0, force=force, potential=potential)
     trunc = TruncationSpec(n_hermite, n_fourier)
-    _assert_same_csr(assemble_generator(params, trunc, adjoint),
-                     _block_generator(params, trunc, adjoint))
+    A = assemble_generator(params, trunc)
+    if adjoint:
+        A = _momentum_conjugate(A, 2 * n_fourier + 1)
+    _assert_same_csr(A, _block_generator(params, trunc, adjoint))
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -103,9 +117,11 @@ def test_generator_drops_cancelled_entries(adjoint):
                          potential=PeriodicPotential(period=2 * np.pi,
                                                      cos_coeffs=(0.0, 1.0)))
     trunc = TruncationSpec(4, 3)
-    A = assemble_generator(params, trunc, adjoint)
-    _assert_same_csr(A, _block_generator(params, trunc, adjoint))
     size = 2 * trunc.n_fourier + 1
+    A = assemble_generator(params, trunc)
+    if adjoint:
+        A = _momentum_conjugate(A, size)
+    _assert_same_csr(A, _block_generator(params, trunc, adjoint))
     # level 0's diagonal block gamma*0*I keeps its zeros stored
     level0 = A[:size, :size]
     assert level0.nnz == size and not level0.data.any()
@@ -166,7 +182,7 @@ def test_poisson_free_particle_momentum():
     params = _free(gamma=2.0, beta=1.0)
     trunc = TruncationSpec(20, 1)
     rhs = HermiteFourierField.momentum(20, 1, 2 * np.pi, 1.0)
-    psi = solve_equilibrium_poisson(rhs, False, params, trunc)
+    psi, _, _ = EquilibriumPoissonSolver(params, trunc).solve(rhs)
     # -L0 (p/gamma) = p for the free particle
     assert psi.coeffs[1, 0] == pytest.approx(0.5, rel=1e-12)
     mask = np.ones_like(psi.coeffs, bool)
@@ -177,7 +193,7 @@ def test_poisson_free_particle_momentum():
 def test_poisson_zero_rhs():
     params = _params(beta=2.0)
     rhs = HermiteFourierField.zeros(16, 8, 1.0, 2.0)
-    psi = solve_equilibrium_poisson(rhs, False, params, TruncationSpec(16, 8))
+    psi, _, _ = EquilibriumPoissonSolver(params, TruncationSpec(16, 8)).solve(rhs)
     assert np.abs(psi.coeffs).max() < 1e-14
 
 
@@ -185,7 +201,7 @@ def test_poisson_solvability_guard():
     params = _params(beta=2.0)
     rhs = HermiteFourierField.constant(1.0, 16, 8, 1.0, 2.0)
     with pytest.raises(SolverError):
-        solve_equilibrium_poisson(rhs, False, params, TruncationSpec(16, 8))
+        EquilibriumPoissonSolver(params, TruncationSpec(16, 8)).solve(rhs)
 
 
 def _flip_p(field: HermiteFourierField) -> HermiteFourierField:
@@ -201,36 +217,48 @@ def _flip_q(field: HermiteFourierField) -> HermiteFourierField:
     return field.with_coeffs(c)
 
 
-def _solvable_rhs(params, trunc):
+def _solvable_rhs(solver):
+    params, trunc = solver.params, solver.trunc
     c = np.zeros((trunc.n_hermite + 1, 2 * trunc.n_fourier + 1))
     c[1, 1] = 0.4
     c[2, 9] = -0.3
     c[3, 0] = 0.7
     rhs = HermiteFourierField(c, params.potential.period, params.beta)
-    solver = EquilibriumPoissonSolver(params, trunc, adjoint=False)
     c[0, 0] -= solver.mean(rhs)
     return HermiteFourierField(c, params.potential.period, params.beta)
 
 
 def test_adjoint_solve_is_momentum_flip_conjugate():
-    # the adjoint equals p -> -p conjugation of the direct solve (any V)
+    # the chain's f_j solve -Lhat0 through the p -> -p conjugate of the direct
+    # operator; check them against the block-built adjoint, bordered by the
+    # same mean functional and solved on its own
     params = _params(beta=2.0, v0=0.8)
     trunc = TruncationSpec(24, 8)
-    rhs = _solvable_rhs(params, trunc)
-    psi_adj = solve_equilibrium_poisson(rhs, True, params, trunc)
-    psi_ref = _flip_p(solve_equilibrium_poisson(_flip_p(rhs), False, params, trunc))
-    assert psi_adj.coeffs == pytest.approx(psi_ref.coeffs, abs=1e-11)
+    chain = build_chain(params, trunc, 3)
+    A = _block_generator(params, trunc, adjoint=True)
+    t = _mean_functional(params, trunc)
+    n = A.shape[0]
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, 1))
+    bordered = sp.bmat([[A, e0], [sp.csr_matrix(t[None, :]), None]], format="csc")
+    f = chain.fs[0]
+    for j in range(1, 4):
+        rhs = apply_raise(f).coeffs.reshape(-1)
+        x = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
+        f = f.with_coeffs(x[:n].reshape(f.coeffs.shape))
+        assert chain.fs[j].coeffs == pytest.approx(f.coeffs, abs=1e-11)
 
 
 def test_adjoint_solve_is_q_flip_conjugate_for_symmetric_v():
-    # with V(q) = V(-q), flipping q alone also conjugates to the adjoint,
-    # so flipping the adjoint flag twice returns the reflected solution
+    # with V(q) = V(-q), flipping q alone also conjugates -L0 to the adjoint,
+    # so the p-flip and the q-flip conjugates of one direct solve agree
     params = _params(beta=2.0, v0=0.8)
-    trunc = TruncationSpec(24, 8)
-    rhs = _solvable_rhs(params, trunc)
-    psi_adj = solve_equilibrium_poisson(rhs, True, params, trunc)
-    psi_ref = _flip_q(solve_equilibrium_poisson(_flip_q(rhs), False, params, trunc))
-    assert psi_adj.coeffs == pytest.approx(psi_ref.coeffs, abs=1e-11)
+    solver = EquilibriumPoissonSolver(params, TruncationSpec(24, 8))
+    rhs = _solvable_rhs(solver)
+    psi_p = _flip_p(solver.solve(_flip_p(rhs))[0])
+    psi_q = _flip_q(solver.solve(_flip_q(rhs))[0])
+    assert psi_p.coeffs == pytest.approx(psi_q.coeffs, abs=1e-11)
+    # and the conjugate is no plain copy of the direct solve
+    assert np.abs(psi_p.coeffs - solver.solve(rhs)[0].coeffs).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

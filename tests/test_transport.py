@@ -6,7 +6,7 @@ import pytest
 from washboard import transport
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec, packed_dq_matrix
-from washboard.expansion import assemble_generator
+from washboard.expansion import assemble_generator, build_chain
 from washboard.transport import (SolverError, compute_diffusion, factor_hierarchy,
                                  hierarchy_blocks, solve_cell_problem,
                                  solve_stationary_fp, solve_transport)
@@ -268,6 +268,44 @@ def test_density_for_other_params_rejected():
     density = solve_stationary_fp(_params(force=0.3), trunc)
     with pytest.raises(ValueError, match="other params"):
         solve_cell_problem(_params(force=0.4), trunc, density)
+
+
+_MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
+                           sin_coeffs=(0.0, 0.25), offset=1.5)
+
+
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("force", [0.0, 0.7, 3.0])
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 50.0])
+@pytest.mark.parametrize("potential", [PeriodicPotential.cosine(1.0, 1.0), _MIXED],
+                         ids=["cosine", "mixed"])
+def test_cell_bottom_block_kernels_are_exact(potential, gamma, force, closure):
+    # the premises of the cell solve: e0 is an exact right null vector of the
+    # bottom block (d_q kills constants) and W R_0 a left one to roundoff
+    params = ModelParams(gamma=gamma, beta=5.0, force=force, potential=potential)
+    trunc = TruncationSpec(64, 12, closure)
+    density = solve_stationary_fp(params, trunc)
+    bottom = density.factors.bottom
+    assert not bottom[:, 0].any()
+    left = density.factors.blocks.metric * density.field.coeffs[0]
+    defect = np.abs(left @ bottom).max()
+    assert defect <= 1e-14 * np.linalg.norm(left) * np.abs(bottom).max()
+
+
+def test_ill_conditioned_cell_block_is_a_solver_error():
+    # fig3's gamma=0.5 at F=3.5: the N=64 truncation fails, and says so
+    params = _params(gamma=0.5, beta=5.0, force=3.5)
+    with pytest.raises(SolverError):
+        solve_transport(params, TruncationSpec(64, 24))
+
+
+def test_einstein_relation_at_large_friction():
+    # at F=0, D = V_1/beta from the equilibrium chain; the cell solve keeps
+    # the agreement at roundoff (7e-14 measured)
+    params = _params(gamma=50.0, beta=5.0)
+    trunc = TruncationSpec(64, 24)
+    d0 = build_chain(params, trunc, 1).v[1] / params.beta
+    assert solve_transport(params, trunc).d_primary == pytest.approx(d0, rel=3e-13)
 
 
 # ---------------------------------------------------------------------------
