@@ -5,8 +5,10 @@ Functions of (q, p) on the periodic cell are expanded as
     g(q, p) = sum_n  g_n(q) H_n(p),      H_n(p) = He_n(p sqrt(beta)) / sqrt(n!),
 
 with He_n the probabilists' Hermite polynomials, orthonormal against the
-Maxwellian exp(-beta p^2/2).  Each level g_n(q) is a real trigonometric
-polynomial stored in the packed real layout
+Maxwellian exp(-beta p^2/2).  A :class:`HermiteFourierField` may instead be
+centred at a momentum p0, in H_n(p - p0), orthonormal against the Maxwellian
+displaced to p0; the transport solver uses p0 = F/gamma.  Each level g_n(q)
+is a real trigonometric polynomial stored in the packed real layout
 
     (xi_0, xi_1 .. xi_M, eta_1 .. eta_M),   g_n(q) = sum_j G_n^j e^{i w_j q},
 
@@ -284,15 +286,19 @@ def packed_mult_matrix(coeffs: np.ndarray, n_fourier: int, period: float) -> np.
 
 @dataclass(frozen=True)
 class HermiteFourierField:
-    """Coefficient container for g(q,p) = sum_n g_n(q) H_n(p).
+    """Coefficient container for g(q,p) = sum_n g_n(q) H_n(p - p0).
 
     ``coeffs`` has shape (N+1, 2M+1): one packed Fourier vector per Hermite
-    level.  Immutable; all operations return new fields.
+    level.  ``p0`` is the centre of the Hermite basis: 0 for the Maxwellian
+    basis of the module docstring, the free drift F/gamma for the displaced
+    basis the transport solver works in.  Immutable; all operations return new
+    fields in the same basis.
     """
 
     coeffs: np.ndarray
     period: float
     beta: float
+    p0: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -331,14 +337,14 @@ class HermiteFourierField:
         return FourierVector(self.coeffs[n], self.period)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "HermiteFourierField":
-        return HermiteFourierField(coeffs, self.period, self.beta)
+        return HermiteFourierField(coeffs, self.period, self.beta, self.p0)
 
     def evaluate(self, q, p):
         """Point values g(q, p); q and p broadcast together."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         q, p = np.broadcast_arrays(q, p)
-        H = hermite_table(self.n_hermite, p.ravel() * np.sqrt(self.beta))
+        H = hermite_table(self.n_hermite, (p.ravel() - self.p0) * np.sqrt(self.beta))
         levels = self.coeffs @ fourier_table(self.n_fourier, self.period, q.ravel())
         vals = np.einsum("xn,nx->x", H, levels)
         return vals.reshape(q.shape) if q.ndim else float(vals[0])
@@ -347,16 +353,22 @@ class HermiteFourierField:
         return self.with_coeffs(a * self.coeffs)
 
     def plus(self, other: "HermiteFourierField") -> "HermiteFourierField":
+        if other.p0 != self.p0:
+            raise ValueError(f"fields in bases centred at p0={self.p0} and "
+                             f"{other.p0} cannot be added coefficient-wise")
         return self.with_coeffs(self.coeffs + other.coeffs)
 
 
 def apply_raise(field: HermiteFourierField) -> HermiteFourierField:
-    """Creation operator -d_p + beta*p: pure raising, level n -> n+1 with
-    factor sqrt(beta*(n+1)).  The overflow past the top level is dropped."""
+    """Creation operator -d_p + beta*p: raising, level n -> n+1 with factor
+    sqrt(beta*(n+1)), plus beta*p0 times the field in a basis centred at p0.
+    The overflow past the top level is dropped."""
     c = field.coeffs
     out = np.zeros_like(c)
     n = np.arange(c.shape[0] - 1)
     out[1:] = np.sqrt(field.beta * (n + 1))[:, None] * c[:-1]
+    if field.p0:
+        out += field.beta * field.p0 * c
     return field.with_coeffs(out)
 
 
@@ -371,13 +383,16 @@ def apply_lower(field: HermiteFourierField) -> HermiteFourierField:
 
 def apply_momentum(field: HermiteFourierField) -> HermiteFourierField:
     """Multiplication by p: tridiagonal coupling
-    p H_n = (sqrt(n+1) H_{n+1} + sqrt(n) H_{n-1}) / sqrt(beta)."""
+    (p - p0) H_n = (sqrt(n+1) H_{n+1} + sqrt(n) H_{n-1}) / sqrt(beta),
+    plus p0 times the field in a basis centred at p0."""
     c = field.coeffs
     out = np.zeros_like(c)
     sb = np.sqrt(field.beta)
     n = np.arange(c.shape[0])
     out[1:] += (np.sqrt(n[1:]) / sb)[:, None] * c[:-1]
     out[:-1] += (np.sqrt(n[1:]) / sb)[:, None] * c[1:]
+    if field.p0:
+        out += field.p0 * c
     return field.with_coeffs(out)
 
 
@@ -425,6 +440,9 @@ class GibbsQuadrature:
         """sqrt(w_p) times the field values on the (p, q) grid, shape (n_p, n_q)."""
         if g.n_hermite != self.n_hermite or g.n_fourier != self.n_fourier:
             raise ValueError("field truncation does not match quadrature grid")
+        if g.p0:
+            raise ValueError(f"field is in the basis centred at p0={g.p0}; "
+                             "the Gibbs quadrature needs the centred basis")
         return self.hermite @ g.coeffs @ self.fourier
 
     def integrate(self, vals: np.ndarray) -> float:

@@ -1,5 +1,16 @@
 """Nonperturbative drift and diffusion from the truncated kinetic hierarchy.
 
+Both hierarchies are solved in the displaced Hermite basis H_n(p - p0),
+centred at the free drift p0 = F/gamma (computed from the parameters).  In the
+Maxwellian basis centred at p = 0 the coefficients of a running state grow
+like exp(beta p0^2 / 2) with the level, and no affordable truncation converges
+past the critical tilt; centred on the drift they stay of order one (the
+translated Hermite basis of T. Tang, SIAM J. Sci. Comput. 14 (1993) 594).
+Since F - gamma p0 = 0, the displaced hierarchy has the blocks of the untilted
+problem, plus sqrt(beta) p0 d_q on every diagonal block, level 0 included.
+Every field returned here (density, cell solution) is in that basis and
+carries its centre as ``HermiteFourierField.p0``.
+
 Projecting the cell problem -L phi = p - U onto the Hermite-Fourier basis
 yields a block-tridiagonal hierarchy over the Hermite index, with
 (2M+1)-sized blocks acting on packed Fourier vectors,
@@ -16,9 +27,10 @@ inverted once each, and every level follows from the one below it,
 Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}).
 
 The stationary Fokker-Planck hierarchy is the negative adjoint of the cell
-hierarchy in the packed metric W = diag(1, 2, .., 2) of (1/L) int f g dq.
-Its Schur complements are therefore -W^{-1} G_n^T W, and the same inverses,
-applied transposed, give the density level by level.  One factorization per
+hierarchy in the packed metric W = diag(1, 2, .., 2) of (1/L) int f g dq
+(d_q is skew in W, so the shift sqrt(beta) p0 d_q is its own negative
+adjoint).  Its Schur complements are therefore -W^{-1} G_n^T W, and the same
+inverses, applied transposed, give the density level by level.  One factorization per
 truncation serves both problems.  The drift is read off the stationary
 density, the diffusion coefficient from pairing the density with the cell
 solution, cross-checked against the gradient-squared form.  The singular
@@ -30,16 +42,17 @@ by a LAPACK reciprocal condition estimate below 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgesv, dgetrf, dgetri, dgetri_lwork, dgetrs
-from scipy.special import roots_hermitenorm
 
 from .model import ModelParams
 from .basis import (
     HermiteFourierField,
     TruncationSpec,
     fourier_table,
+    gauss_maxwell_nodes,
     hermite_table,
     packed_dq_matrix,
     packed_metric,
@@ -52,6 +65,7 @@ __all__ = [
     "StationaryDensity",
     "TransportResult",
     "hierarchy_blocks",
+    "displaced_blocks",
     "factor_hierarchy",
     "solve_stationary_fp",
     "solve_cell_problem",
@@ -80,18 +94,19 @@ class HierarchyBlocks:
     """The n-independent blocks of both level hierarchies.
 
     ``d_q`` is the packed d/dq matrix and ``tilt`` T the packed multiplication
-    by (F - V'(q)).  Row n of the cell hierarchy for phi is
+    by (F - gamma p0 - V'(q)) in the Hermite basis centred at ``p0``.  Row n
+    of the cell hierarchy for phi is
 
-        sqrt(n) d_q Phi_{n-1} - gamma sqrt(beta) n Phi_n
+        sqrt(n) d_q Phi_{n-1} + (shift d_q - gamma sqrt(beta) n) Phi_n
             + sqrt(n+1) drift Phi_{n+1},        drift = d_q + beta T,
 
     and row n of the stationary-density hierarchy is
 
-        sqrt(n) lift R_{n-1} + gamma sqrt(beta) n R_n
-            + sqrt(n+1) d_q R_{n+1},            lift = d_q - beta T.
+        sqrt(n) lift R_{n-1} + (shift d_q + gamma sqrt(beta) n) R_n
+            + sqrt(n+1) d_q R_{n+1},            lift = d_q - beta T,
 
-    ``friction`` is gamma sqrt(beta) and ``metric`` the diagonal of
-    W = diag(1, 2, .., 2).
+    with ``shift`` = sqrt(beta) p0.  ``friction`` is gamma sqrt(beta) and
+    ``metric`` the diagonal of W = diag(1, 2, .., 2).
     """
 
     friction: float
@@ -100,14 +115,30 @@ class HierarchyBlocks:
     drift: np.ndarray
     lift: np.ndarray
     metric: np.ndarray
+    p0: float = 0.0
+    shift: float = 0.0
 
     @property
     def size(self) -> int:
         return self.d_q.shape[0]
 
+    @cached_property
+    def _shift_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of d_q's 2M nonzeros and shift times their values."""
+        flat = np.flatnonzero(self.d_q)
+        return flat, self.shift * self.d_q.take(flat)
+
+    def add_shift(self, g: np.ndarray) -> np.ndarray:
+        """g += shift d_q in place, through d_q's 2M nonzeros (g is left as it
+        is at p0 = 0)."""
+        if self.shift:
+            flat, v = self._shift_entries
+            g.put(flat, g.take(flat) + v)
+        return g
+
 
 def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlocks:
-    """Assemble the n-independent blocks for the given problem."""
+    """Assemble the n-independent blocks in the Maxwellian basis centred at p = 0."""
     trunc.check_potential(params.potential)
     M = trunc.n_fourier
     L = params.potential.period
@@ -118,6 +149,18 @@ def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlo
                            lift=d_q - params.beta * tilt, metric=packed_metric(M))
 
 
+def displaced_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlocks:
+    """The blocks the solvers use: basis centred at the free drift p0 = F/gamma.
+
+    The tilt F - gamma p0 is exactly 0, so these are the blocks of the
+    untilted problem with the diagonal shift sqrt(beta) p0 d_q; at F = 0 they
+    equal :func:`hierarchy_blocks`.
+    """
+    p0 = params.force / params.gamma
+    blocks = hierarchy_blocks(params.with_force(0.0), trunc)
+    return replace(blocks, p0=p0, shift=np.sqrt(params.beta) * p0)
+
+
 # ---------------------------------------------------------------------------
 # One factorization for both hierarchies
 # ---------------------------------------------------------------------------
@@ -126,10 +169,10 @@ def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlo
 class HierarchyFactors:
     """Inverses of the cell hierarchy's Schur complements G_1..G_N.
 
-    ``bottom`` is the level-0 block Q_0^- S_0 left after the elimination; it
-    is singular, with column 0 exactly zero (constants solve the homogeneous
-    problem).  ``params`` and ``trunc`` record the problem the factors
-    belong to.
+    ``bottom`` is the level-0 block G_0 = Q_0 + Q_0^- S_0 left after the
+    elimination, Q_0 = sqrt(beta) p0 d_q; it is singular, with column 0
+    exactly zero (constants solve the homogeneous problem).  ``params`` and
+    ``trunc`` record the problem the factors belong to, ``blocks`` the basis.
     """
 
     params: ModelParams
@@ -149,11 +192,16 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     """Invert the Schur complements G_N..G_1 of the cell hierarchy.
 
     With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
-    is Q_{n-1}^- S_{n-1} = -n drift G_n^{-1} d_q, and G_{n-1} adds the scalar
-    diagonal -gamma sqrt(beta) (n-1).
+    is Q_{n-1}^- S_{n-1} = -n drift G_n^{-1} d_q, and G_{n-1} adds the
+    diagonal block Q_{n-1} = shift d_q - gamma sqrt(beta) (n-1).  ``blocks``
+    defaults to :func:`displaced_blocks`; blocks centred elsewhere than
+    F/gamma raise ValueError.
     """
     if blocks is None:
-        blocks = hierarchy_blocks(params, trunc)
+        blocks = displaced_blocks(params, trunc)
+    elif blocks.p0 != params.force / params.gamma:
+        raise ValueError(f"blocks are centred at p0={blocks.p0}, the solver's basis "
+                         f"at F/gamma={params.force / params.gamma}")
     N = trunc.n_hermite
     size = blocks.size
     friction = blocks.friction
@@ -165,6 +213,7 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     diag = np.arange(size)
     for n in range(N, 0, -1):
         g[diag, diag] -= friction * n
+        blocks.add_shift(g)
         lu, piv, info = dgetrf(g, overwrite_a=1)
         _check_info(info, f"singular closure block at hermite level n={n}; "
                           "raise n_hermite or check parameters")
@@ -174,7 +223,7 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
         g = blocks.drift @ (inv @ blocks.d_q)
         g *= -n
     return HierarchyFactors(params=params, trunc=trunc, blocks=blocks,
-                            inverses=inverses, bottom=g)
+                            inverses=inverses, bottom=blocks.add_shift(g))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +232,11 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
 
 @dataclass(frozen=True)
 class StationaryDensity:
-    """Hermite-Fourier coefficients R_n of rho(q,p) = rho_hat(p) sum R_n(q) H_n(p),
-    the drift U = <p>, solve diagnostics, and the hierarchy factors the
-    density was solved with (reused by :func:`solve_cell_problem`)."""
+    """Hermite-Fourier coefficients R_n of
+    rho(q,p) = rho_hat(p - p0) sum R_n(q) H_n(p - p0) in the basis centred at
+    p0 = F/gamma (``field.p0``), the drift U = <p>, solve diagnostics, and the
+    hierarchy factors the density was solved with (reused by
+    :func:`solve_cell_problem`)."""
 
     field: HermiteFourierField
     drift: float
@@ -205,7 +256,8 @@ def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str)
     """Largest residual of the density hierarchy rows n = 1..N as solved.
 
     The top row carries the W-adjoint of the cell closure: nothing for
-    Dirichlet, sqrt(N+1) lift R_N for Neumann.
+    Dirichlet, sqrt(N+1) lift R_N for Neumann.  Every row has the diagonal
+    shift d_q R_n of the displaced basis.
     """
     N = levels.shape[0] - 1
     n = np.arange(1, N + 1)[:, None]
@@ -216,6 +268,8 @@ def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str)
         above[-1] = up[N]
     res = (np.sqrt(n) * up[:-1] + blocks.friction * n * levels[1:]
            + np.sqrt(n + 1) * above)
+    if blocks.shift:
+        res += blocks.shift * (levels[1:] @ blocks.d_q.T)
     return float(np.abs(res).max())
 
 
@@ -226,9 +280,12 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     Factors the cell hierarchy (:func:`factor_hierarchy`) and runs the
     density hierarchy through the transposed inverses,
     R_n = W^{-1} G_n^{-T} W sqrt(n) lift R_{n-1}.  The n = 0 row (constant
-    probability flux) together with the normalization  L * R_0^0 = 1  closes
-    the remaining one-dimensional freedom.  ``blocks`` lets a caller that
-    solves several truncations of one problem build them once.
+    probability flux), d_q (R_1 + sqrt(beta) p0 R_0) = 0, together with the
+    normalization  L * R_0^0 = 1  closes the remaining one-dimensional
+    freedom, and U = p0 + L R_1^0 / sqrt(beta).  The returned coefficients
+    are in the basis centred at p0 = F/gamma.  ``blocks`` lets a caller that
+    solves several truncations of one problem build them once; they must be
+    :func:`displaced_blocks` of the same problem.
     """
     factors = factor_hierarchy(params, trunc, blocks)
     blocks = factors.blocks
@@ -238,7 +295,7 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     w_lift = w[:, None] * blocks.lift
 
     S0 = factors.solve(1, w_lift, transpose=True) / w[:, None]   # R_1 = S0 R_0
-    K = blocks.d_q @ S0
+    K = blocks.add_shift(blocks.d_q @ S0)
     K[0, :] = 0.0
     K[0, 0] = 1.0
     rhs = np.zeros((blocks.size, 1))
@@ -254,15 +311,16 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
         b *= np.sqrt(n)
         levels[n] = factors.solve(n, b, transpose=True) / w
 
-    drift = L * levels[1, 0] / np.sqrt(params.beta)
+    drift = blocks.p0 + L * levels[1, 0] / np.sqrt(params.beta)
     scale = max(float(np.abs(levels).max()), 1e-300)
+    flux = blocks.d_q @ (levels[1] + blocks.shift * levels[0])    # the n = 0 row
     diagnostics = {
         "top_level_ratio": float(np.abs(levels[N]).max()) / scale,
         "hierarchy_residual": _density_residual(levels, blocks, trunc.closure) / scale,
         "normalization_residual": abs(L * levels[0, 0] - 1.0),
-        "flux_residual": float(np.abs(blocks.d_q @ levels[1]).max()) / scale,
+        "flux_residual": float(np.abs(flux).max()) / scale,
     }
-    fld = HermiteFourierField(levels, L, params.beta)
+    fld = HermiteFourierField(levels, L, params.beta, blocks.p0)
     return StationaryDensity(field=fld, drift=drift, factors=factors,
                              diagnostics=diagnostics)
 
@@ -275,7 +333,9 @@ def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
                        density: StationaryDensity) -> HermiteFourierField:
     """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
 
-    The bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,  with
+    The coefficients are in the basis of ``density``, centred at
+    p0 = F/gamma, where p - U = (p0 - U) + H_1(p - p0) / sqrt(beta).  The
+    bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,  with
     right null vector e0 and left null vector W R_0.  Phi_0 with Phi_0^0 = 0
     solves it with W R_0 in place of column 0 (a reciprocal condition number
     below 1e-10 raises SolverError), the levels above follow with one
@@ -301,10 +361,10 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
     beta = params.beta
     R = density.field.coeffs
 
-    # rhs_0 = B - Q_0^- G_1^{-1} A with B = sqrt(beta) U e0 on row 0,
+    # rhs_0 = B - Q_0^- G_1^{-1} A with B = sqrt(beta) (U - p0) e0 on row 0,
     # A = -e0 on row 1 and Q_0^- = drift
     rhs0 = blocks.drift @ factors.inverses[1][:, 0]
-    rhs0[0] += np.sqrt(beta) * density.drift
+    rhs0[0] += np.sqrt(beta) * (density.drift - blocks.p0)
 
     left_null = blocks.metric * R[0]
     # The left-null component must vanish in exact arithmetic; the solve
@@ -341,7 +401,7 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
     levels[0, 0] -= np.einsum("ns,ns->", R * blocks.metric, levels) / R[0, 0]
 
     diag = {"solvability_defect": defect / rhs_scale}
-    return HermiteFourierField(levels, L, beta), diag
+    return HermiteFourierField(levels, L, beta, blocks.p0), diag
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +417,12 @@ class TransportResult:
     gamma/beta * int (d_p phi)^2 rho.  ``d_ibp_stability`` is the plateau
     spread of the quadrature's momentum cutoff scan: when it is not small
     relative to d_primary the quadrature (not the solve) lost accuracy.
+
+    ``diagnostics`` holds the density's solve diagnostics, the top-level
+    ratio of the cell solution, the basis centre ``p0`` = F/gamma and the
+    coefficient growth ``log10_growth_R`` = log10(max_n |R_n| / |R_0|) and
+    ``log10_growth_phi`` = log10(max_n |Phi_n| / |Phi_0|), with |.| the
+    largest packed coefficient of a level.
     """
 
     drift: float
@@ -380,6 +446,16 @@ def _trim_levels(coeffs: np.ndarray, rel: float = 1e-14) -> int:
 _IBP_CUTOFFS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
 
 
+@lru_cache(maxsize=32)
+def _gauss_maxwell_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n_p-point Gauss rule for the unit
+    Maxwellian, computed once per node count (sweeps repeat it)."""
+    x, wp = gauss_maxwell_nodes(n_p, 1.0)
+    x.flags.writeable = False
+    wp.flags.writeable = False
+    return x, wp
+
+
 def _gradient_squared_quadrature(density: StationaryDensity,
                                  phi: HermiteFourierField,
                                  params: ModelParams) -> tuple[float, float]:
@@ -391,6 +467,8 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     c is scanned and the value read off the stability plateau; the plateau
     spread is returned as a quality measure.  The integrand is tabulated once,
     on the widest cutoff, and each narrower one sums a subset of its rows.
+    The rule runs in x = sqrt(beta) (p - p0), the variable of the fields'
+    basis, so mu = sqrt(beta) max(|U - p0|, |F/gamma - p0|).
     """
     beta, gamma = params.beta, params.gamma
     L = params.potential.period
@@ -404,14 +482,13 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     Rt = R[:n_eff]
     M = phi.n_fourier
     n_q = max(64, 8 * M)
-    n_p = 2 * n_eff + 8
-    x, wp = roots_hermitenorm(n_p)
-    wp = wp / np.sqrt(2.0 * np.pi)
+    x, wp = _gauss_maxwell_rule(2 * n_eff + 8)
     q = np.arange(n_q) * L / n_q
     ftab = fourier_table(M, L, q)
     wq = np.full(n_q, L / n_q)
 
-    mu = np.sqrt(beta) * max(abs(density.drift), abs(params.force) / gamma)
+    p0 = density.field.p0
+    mu = np.sqrt(beta) * max(abs(density.drift - p0), abs(params.force / gamma - p0))
     widest = np.abs(x) <= mu + _IBP_CUTOFFS[-1]
     x, wp = x[widest], wp[widest]
     H = hermite_table(n_eff - 1, x)
@@ -425,6 +502,17 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     best = int(np.argmin(diffs))
     return vals[best + 1], diffs[best]
+
+
+def _level_ratios(coeffs: np.ndarray) -> np.ndarray:
+    """max |level n| relative to max |all levels|, for every level n."""
+    mags = np.abs(coeffs).max(axis=1)
+    return mags / max(float(mags.max()), 1e-300)
+
+
+def _log10_growth(coeffs: np.ndarray) -> float:
+    """log10 of the largest level over level 0 (max |coefficient| per level)."""
+    return -float(np.log10(max(_level_ratios(coeffs)[0], 1e-300)))
 
 
 def _level_pairs(x: np.ndarray, y: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -455,6 +543,8 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
     diagnostics = dict(density.diagnostics)
     pscale = max(float(np.abs(P).max()), 1e-300)
     diagnostics["top_level_ratio_phi"] = float(np.abs(P[N]).max()) / pscale
+    diagnostics.update(p0=density.field.p0, log10_growth_R=_log10_growth(R),
+                       log10_growth_phi=_log10_growth(P))
     return TransportResult(
         drift=density.drift,
         d_primary=d_primary,
@@ -473,17 +563,11 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
 
 # Adaptive truncation: double N until both top-level ratios are at most
 # _ADAPT_TOL, but never past _N_HERMITE_MAX levels.  A rung skipped by sweep
-# continuation counts as failed when the converged solution's level there
-# exceeds _CERT_FACTOR * _ADAPT_TOL.
+# continuation counts as failed when every level of the converged solution up
+# to it exceeds _CERT_FACTOR * _ADAPT_TOL.
 _ADAPT_TOL = 1e-8
 _CERT_FACTOR = 2.0
 _N_HERMITE_MAX = 8192
-
-
-def _level_ratio(coeffs: np.ndarray, n: int) -> float:
-    """max |level n| relative to max |all levels|."""
-    scale = max(float(np.abs(coeffs).max()), 1e-300)
-    return float(np.abs(coeffs[n]).max()) / scale
 
 
 @dataclass(frozen=True)
@@ -494,15 +578,23 @@ class _Rung:
     phi: HermiteFourierField
     cell_diag: dict
 
+    @cached_property
+    def _envelopes(self) -> np.ndarray:
+        return np.maximum(_level_ratios(self.density.field.coeffs),
+                          _level_ratios(self.phi.coeffs))
+
     def envelope(self, n: int) -> float:
         """The larger level-n ratio of the density and the cell solution."""
-        return max(_level_ratio(self.density.field.coeffs, n),
-                   _level_ratio(self.phi.coeffs, n))
+        return float(self._envelopes[n])
+
+    def floor(self, n: int) -> float:
+        """The smallest envelope over levels 0..n."""
+        return float(self._envelopes[: n + 1].min())
 
     @property
     def converged(self) -> bool:
         return (self.density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
-                and _level_ratio(self.phi.coeffs, -1) <= _ADAPT_TOL)
+                and _level_ratios(self.phi.coeffs)[-1] <= _ADAPT_TOL)
 
 
 def solve_transport(params: ModelParams, trunc: TruncationSpec,
@@ -522,8 +614,12 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     the one the previous sweep point converged at.  The ladder then climbs
     from ``start``, and once it converges at rung N every untried rung r below
     ``start`` is certified from the converged fields alone: r counts as
-    failed when max(|R_r|/max|R|, |Phi_r|/max|Phi|) > ``_CERT_FACTOR`` *
-    ``_ADAPT_TOL``.  Rungs that do not certify are solved for real in
+    failed when the envelope max(|R_n|/max|R|, |Phi_n|/max|Phi|) exceeds
+    ``_CERT_FACTOR`` * ``_ADAPT_TOL`` at every level n = 0..r.  (In the
+    displaced basis a metastable locked state can show as a bump of levels far
+    above a running state's decay; a truncation below the bump does not see
+    it and converges, so a dip of the envelope below the bar voids the
+    certificate.)  Rungs that do not certify are solved for real in
     ascending order, and the lowest one that converges is the answer.  Every
     other case climbs the ladder from n0 as without ``start``: a ``start``
     off the ladder or at most n0, a SolverError, or the cap reached
@@ -532,16 +628,18 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     Exactness: the answer is the rung, and so the result bit for bit, that the
     ladder from n0 gives whenever a rung the certificate marks as failed would
     really fail when solved.  That is one empirical premise: a truncation at
-    r does not converge when the converged solution's level r sits more than
-    ``_CERT_FACTOR`` times above the tolerance.  ``tests/test_transport.py``
-    guards it on the fig1 sweeps.
+    r does not converge when the converged solution's levels 0..r all sit
+    more than ``_CERT_FACTOR`` times above the tolerance.
+    ``tests/test_transport.py`` guards it on the fig1 sweeps, and the
+    continuation tests compare continued and fresh rows on fig3's gamma=0.5
+    sweep.
 
     ``diagnostics`` records the ladder: ``ladder_start`` (the rung the
     returned answer's climb began at), ``rungs_solved`` (truncations solved
     in this call) and ``rungs_certified`` (rungs below the answer skipped as
     certified failures).
     """
-    blocks = hierarchy_blocks(params, trunc)
+    blocks = displaced_blocks(params, trunc)
     n0 = trunc.n_hermite
     rungs = [n0]
     while adaptive and 2 * rungs[-1] <= _N_HERMITE_MAX:
@@ -574,7 +672,7 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
         if answer is not None:
             ladder_start, top = start, answer
             for n in below:   # ascending: `certified` counts the rungs below n
-                if top.envelope(n) > _CERT_FACTOR * _ADAPT_TOL:
+                if top.floor(n) > _CERT_FACTOR * _ADAPT_TOL:
                     certified += 1
                     continue
                 try:

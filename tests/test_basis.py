@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,42 @@ def test_field_immutable():
     f = HermiteFourierField.constant(1.0, 3, 1, 1.0, 1.0)
     with pytest.raises(ValueError):
         f.coeffs[0, 0] = 2.0
+
+
+def test_displaced_field_evaluates_in_its_basis():
+    # the Maxwellian shifted to p0 is level 0 of the basis centred at p0 and
+    # (1/L) mu^n / sqrt(n!), mu = sqrt(beta) p0, in the basis centred at 0;
+    # each times its own Maxwellian, the two fields are one density
+    beta, p0, L, N = 2.0, 1.3, 1.0, 60
+    mu = np.sqrt(beta) * p0
+    centred = np.zeros((N + 1, 3))
+    centred[:, 0] = [mu ** n / math.sqrt(math.factorial(n)) / L for n in range(N + 1)]
+    displaced = np.zeros((N + 1, 3))
+    displaced[0, 0] = 1.0 / L
+    p = np.linspace(-2.0, 4.0, 13)
+    a = np.exp(-beta * p ** 2 / 2) * HermiteFourierField(centred, L, beta).evaluate(0.3, p)
+    b = (np.exp(-beta * (p - p0) ** 2 / 2)
+         * HermiteFourierField(displaced, L, beta, p0).evaluate(0.3, p))
+    assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+def test_displaced_field_operators():
+    # p and -d_p + beta p act on a field in the basis centred at p0 through
+    # (p - p0) + p0; the top level is empty, so nothing is truncated
+    rng = np.random.default_rng(5)
+    beta, p0 = 2.0, -0.7
+    c = _random_field(rng, beta=beta).coeffs
+    g = HermiteFourierField(c, 1.0, beta, p0)
+    q, p = np.meshgrid(np.linspace(0, 1, 5), np.linspace(-3, 2, 7))
+    assert apply_momentum(g).evaluate(q, p) == pytest.approx(p * g.evaluate(q, p),
+                                                            abs=1e-12)
+    assert apply_raise(g).p0 == p0
+    assert apply_raise(g).coeffs == pytest.approx(
+        beta * apply_momentum(g).coeffs - apply_lower(g).coeffs, abs=1e-12)
+    with pytest.raises(ValueError, match="centred"):
+        g.plus(HermiteFourierField(c, 1.0, beta))
+    with pytest.raises(ValueError, match="centred"):
+        GibbsQuadrature(_params(beta=beta), 12, 3).values(g)
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,12 @@ def test_console_entry_point(tmp_path, flat_config):
     assert parse_report(out)[0]["U"] == pytest.approx(0.5, abs=1e-12)
 
 
-def _fig1_gamma1(tmp_path, **extra):
-    [(_, cfg, _)] = [entry for entry in FIG_PRESETS["fig1"] if entry[2] == "gamma1.0"]
-    path = tmp_path / "fig1_gamma1.json"
-    path.write_text(json.dumps(dict(cfg, **extra)))
+def _fig3_gamma05(tmp_path, **extra):
+    """fig3's gamma=0.5 sweep from F = 2 up (9 of its 17 points)."""
+    [(_, cfg, _)] = [entry for entry in FIG_PRESETS["fig3"] if entry[2] == "gamma0.5"]
+    sweep = dict(cfg["sweep"], min=2.0, count=9)
+    path = tmp_path / "fig3_gamma05.json"
+    path.write_text(json.dumps(dict(cfg, sweep=sweep, **extra)))
     return str(path)
 
 
@@ -365,8 +367,10 @@ def _transport_bytes(tmp_path, config, name):
 
 
 def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
-    # fig1 at gamma=1: N rises 64 -> 256 along the sweep
-    config = _fig1_gamma1(tmp_path)
+    # fig3 at gamma=0.5 from F = 2: N falls 512 -> 256 -> 64 along the sweep,
+    # and from F = 2.75 up the converged solutions at 512 carry a bump of
+    # levels (a metastable locked state) above rungs that converge when solved
+    config = _fig3_gamma05(tmp_path)
     calls = _count_solves(monkeypatch)
     continued = _transport_bytes(tmp_path, config, "continued.csv")
     n_continued = len(calls)
@@ -384,19 +388,18 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     ladder = _transport_bytes(tmp_path, config, "ladder.csv")
 
     assert continued == uncertified == ladder
-    assert n_uncertified == len(calls) == 20
-    assert n_continued == 14
+    assert (n_continued, n_uncertified, len(calls)) == (16, 22, 20)
 
 
 def test_continued_sweep_rows_do_not_depend_on_workers(tmp_path):
     # the sweep's threads share the carried start rung; with more threads
     # than cores and frequent switches, points see each other's starts
-    one = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=1), "one.csv")
+    one = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=1), "one.csv")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        two = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=2), "two.csv")
-        four = _transport_bytes(tmp_path, _fig1_gamma1(tmp_path, workers=4), "four.csv")
+        two = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=2), "two.csv")
+        four = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=4), "four.csv")
     finally:
         sys.setswitchinterval(interval)
     assert one == two == four

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.special import roots_hermitenorm
 
 from washboard import transport
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec, packed_dq_matrix
 from washboard.expansion import assemble_generator, build_chain
-from washboard.transport import (SolverError, compute_diffusion, factor_hierarchy,
-                                 hierarchy_blocks, solve_cell_problem,
+from washboard.transport import (SolverError, compute_diffusion, displaced_blocks,
+                                 factor_hierarchy, hierarchy_blocks, solve_cell_problem,
                                  solve_stationary_fp, solve_transport)
 
 
@@ -20,6 +22,16 @@ def _params(gamma=1.0, beta=5.0, force=0.0, v0=1.0, period=1.0):
 def _free(gamma=1.0, beta=1.0, force=1.0, period=2 * np.pi):
     return ModelParams(gamma=gamma, beta=beta, force=force,
                        potential=PeriodicPotential(period=period))
+
+
+def _displaced_generator(params, trunc):
+    """-L in the Hermite basis centred at p0 = F/gamma, natural scaling,
+    assembled independently of the level recursion: the untilted sparse
+    assembly plus -p0 d_q on every diagonal block."""
+    p0 = params.force / params.gamma
+    d_q = packed_dq_matrix(trunc.n_fourier, params.potential.period)
+    return (assemble_generator(params.with_force(0.0), trunc)
+            - p0 * sp.kron(sp.identity(trunc.n_hermite + 1), d_q)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +108,37 @@ def test_block_n_scaling():
                                                 abs=1e-12)
 
 
+def test_displaced_blocks_are_the_untilted_blocks_plus_a_shift():
+    params = _params(force=0.7, gamma=0.5)
+    trunc = TruncationSpec(8, 3)
+    blocks = displaced_blocks(params, trunc)
+    untilted = hierarchy_blocks(params.with_force(0.0), trunc)
+    assert blocks.p0 == 0.7 / 0.5
+    assert blocks.shift == np.sqrt(params.beta) * blocks.p0
+    for name in ("d_q", "tilt", "drift", "lift", "metric"):
+        assert np.array_equal(getattr(blocks, name), getattr(untilted, name))
+    g = np.zeros((7, 7))
+    assert np.array_equal(blocks.add_shift(g), blocks.shift * blocks.d_q)
+    # at F = 0 the two bases coincide, bit for bit
+    at_rest = displaced_blocks(params.with_force(0.0), trunc)
+    assert at_rest.p0 == 0.0 and at_rest.shift == 0.0
+    assert np.array_equal(at_rest.drift, untilted.drift)
+
+
+def test_blocks_for_another_centre_are_rejected():
+    params = _params(force=0.5)
+    trunc = TruncationSpec(16, 4)
+    with pytest.raises(ValueError, match="centred"):
+        solve_stationary_fp(params, trunc, blocks=hierarchy_blocks(params, trunc))
+    with pytest.raises(ValueError, match="centred"):
+        factor_hierarchy(params, trunc, displaced_blocks(params.with_force(0.6), trunc))
+    # at F = 0 the centred blocks are the solver's own
+    rest = params.with_force(0.0)
+    a = solve_stationary_fp(rest, trunc, blocks=hierarchy_blocks(rest, trunc))
+    b = solve_stationary_fp(rest, trunc)
+    assert np.array_equal(a.field.coeffs, b.field.coeffs)
+
+
 def test_potential_above_truncation_errors():
     pot = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.3))
     params = ModelParams(gamma=1.0, beta=1.0, force=0.0, potential=pot)
@@ -120,7 +163,7 @@ def test_recursion_base_is_minus_qinv_qplus():
     factors = factor_hierarchy(params, trunc)
     blocks = factors.blocks
     N = trunc.n_hermite
-    q_diag = -blocks.friction * N * np.eye(blocks.size)
+    q_diag = -blocks.friction * N * np.eye(blocks.size) + blocks.shift * blocks.d_q
     base = -np.linalg.solve(q_diag, np.sqrt(N) * blocks.d_q)
     assert _elimination(factors, N - 1) == pytest.approx(base, abs=1e-12)
 
@@ -150,14 +193,15 @@ def test_recursion_truncation_consistency():
 # ---------------------------------------------------------------------------
 
 def test_stationary_free_particle_levels():
-    # shifted Maxwellian: R_n^0 = (1/L) (sqrt(beta) F / gamma)^n / sqrt(n!)
+    # the Maxwellian shifted to F/gamma is level 0 of the basis centred there:
+    # R_0 = 1/L, every other coefficient 0
     gamma, beta, F, L = 1.0, 1.0, 1.0, 2 * np.pi
     density = solve_stationary_fp(_free(gamma, beta, F, L), TruncationSpec(40, 1))
-    mu = math.sqrt(beta) * F / gamma
-    for n in range(10):
-        expect = mu ** n / math.sqrt(math.factorial(n)) / L
-        assert density.field.coeffs[n, 0] == pytest.approx(expect, rel=1e-12)
-        assert np.abs(density.field.coeffs[n, 1:]).max() < 1e-14
+    assert density.field.p0 == F / gamma
+    R = density.field.coeffs.copy()
+    assert R[0, 0] == pytest.approx(1.0 / L, rel=1e-12)
+    R[0, 0] = 0.0
+    assert np.abs(R).max() < 1e-14
     assert density.drift == pytest.approx(F / gamma, rel=1e-12)
 
 
@@ -181,11 +225,11 @@ def test_stationary_gibbs_at_zero_tilt():
 
 def test_tilted_density_is_w_adjoint_null_vector():
     # the density hierarchy is -(cell hierarchy)^dagger in W = diag(1, 2, .., 2):
-    # A^T W R = 0 for A the assembled -L
+    # A^T W R = 0 for A the assembled -L, in the basis centred at F/gamma
     params = _params(gamma=1.0, beta=5.0, force=0.5)
     trunc = TruncationSpec(160, 16)
     R = solve_stationary_fp(params, trunc).field.coeffs
-    A = assemble_generator(params, trunc)
+    A = _displaced_generator(params, trunc)
     metric = np.full(2 * trunc.n_fourier + 1, 2.0)
     metric[0] = 1.0
     res = A.T @ (R * metric).reshape(-1)
@@ -215,15 +259,17 @@ def test_stationary_mc_cross_check():
 # ---------------------------------------------------------------------------
 
 def test_cell_free_particle():
-    # phi = (p - U)/gamma exactly
+    # phi = (p - U)/gamma exactly; U = p0, so phi = H_1(p - p0)/(gamma sqrt(beta))
     gamma, beta, F = 1.0, 1.0, 1.0
     params = _free(gamma, beta, F)
     trunc = TruncationSpec(40, 1)
     density = solve_stationary_fp(params, trunc)
     phi = solve_cell_problem(params, trunc, density)
+    assert phi.p0 == F / gamma
     assert phi.coeffs[1, 0] == pytest.approx(1.0, rel=1e-11)     # 1/(gamma sqrt(beta))
-    assert phi.coeffs[0, 0] == pytest.approx(-1.0, rel=1e-11)    # -U/gamma
+    assert abs(phi.coeffs[0, 0]) < 1e-11                         # (p0 - U)/gamma
     assert np.abs(phi.coeffs[2:]).max() < 1e-11
+    assert phi.evaluate(0.3, 2.5) == pytest.approx((2.5 - F / gamma) / gamma, rel=1e-11)
 
 
 def test_cell_parity_at_equilibrium():
@@ -246,9 +292,9 @@ def test_cell_residual_against_assembled_operator():
     trunc = TruncationSpec(160, 16)
     density = solve_stationary_fp(params, trunc)
     phi = solve_cell_problem(params, trunc, density)
-    A = assemble_generator(params, trunc)          # -L, natural scaling
+    A = _displaced_generator(params, trunc)        # -L, natural scaling
     rhs = np.zeros((trunc.n_hermite + 1) * (2 * trunc.n_fourier + 1))
-    rhs[0] = -density.drift
+    rhs[0] = density.field.p0 - density.drift      # p - U = (p0 - U) + H_1 / sqrt(beta)
     rhs[2 * trunc.n_fourier + 1] = 1.0 / math.sqrt(params.beta)   # p on level 1
     res = A @ phi.coeffs.reshape(-1) - rhs
     assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
@@ -293,10 +339,27 @@ def test_cell_bottom_block_kernels_are_exact(potential, gamma, force, closure):
 
 
 def test_ill_conditioned_cell_block_is_a_solver_error():
-    # fig3's gamma=0.5 at F=3.5: the N=64 truncation fails, and says so
-    params = _params(gamma=0.5, beta=5.0, force=3.5)
-    with pytest.raises(SolverError):
-        solve_transport(params, TruncationSpec(64, 24))
+    # deep wells and too few levels: the truncation fails, and says so
+    # (rcond 2.8e-15 at rest and 1.1e-11 under a tilt)
+    for gamma, beta, force, n in ((0.05, 20.0, 0.0, 16), (0.5, 50.0, 0.5, 64)):
+        params = _params(gamma=gamma, beta=beta, force=force)
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            solve_transport(params, TruncationSpec(n, 24))
+
+
+@pytest.mark.parametrize("force", [2.5, 3.0, 4.0])
+def test_fig3_running_rows_are_right(force):
+    # fig3's gamma=0.5 sweep past the bistable range: in a basis centred at
+    # p = 0 these rows came out with U < 0 under a positive tilt and D_ibp of
+    # 1e14 .. 1e33, and nothing flagged them
+    params = _params(gamma=0.5, beta=5.0, force=force)
+    res = solve_transport(params, TruncationSpec(64, 24), adaptive=True)
+    twice = solve_transport(params, TruncationSpec(2 * res.n_hermite, 24))
+    d_l = 1.0 / (params.beta * params.gamma)
+    assert res.drift > 0.0
+    assert abs(res.d_primary - res.d_ibp) <= 1e-6 * d_l
+    assert res.drift == pytest.approx(twice.drift, rel=1e-6)
+    assert res.d_primary == pytest.approx(twice.d_primary, rel=1e-6)
 
 
 def test_einstein_relation_at_large_friction():
@@ -341,6 +404,31 @@ def test_pairing_matches_level_loop():
             for n in range(trunc.n_hermite))
     res = compute_diffusion(density, phi, params)
     assert res.d_primary == pytest.approx(params.potential.period * d, rel=1e-12)
+
+
+def test_diagnostics_report_the_basis_and_its_growth():
+    params = _params(gamma=0.5, beta=5.0, force=3.0)
+    trunc = TruncationSpec(64, 16)
+    density = solve_stationary_fp(params, trunc)
+    phi = solve_cell_problem(params, trunc, density)
+    diag = compute_diffusion(density, phi, params).diagnostics
+    assert diag["p0"] == 6.0
+    for key, coeffs in (("log10_growth_R", density.field.coeffs),
+                        ("log10_growth_phi", phi.coeffs)):
+        levels = np.abs(coeffs).max(axis=1)
+        assert diag[key] == pytest.approx(np.log10(levels.max() / levels[0]), rel=1e-12)
+    # centred at p = 0, the same density grows like exp(beta p0^2 / 2) = 1e39
+    assert diag["log10_growth_R"] < 1.0
+    assert solve_transport(params.with_force(0.0), trunc).diagnostics["p0"] == 0.0
+
+
+def test_gauss_rule_is_computed_once_and_read_only():
+    x, w = transport._gauss_maxwell_rule(37)
+    rx, rw = roots_hermitenorm(37)
+    assert np.array_equal(x, rx)
+    assert np.array_equal(w, rw / np.sqrt(2.0 * np.pi))
+    assert transport._gauss_maxwell_rule(37)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_compute_diffusion_reports_solved_closure():
@@ -423,7 +511,16 @@ def _fig1_sweep(gamma):
     params = ModelParams(gamma=gamma, beta=1.2 / v0, force=0.0,
                          potential=PeriodicPotential.cosine(v0, 2 * np.pi))
     fc = 3.36 * gamma * np.sqrt(v0)
-    return params, TruncationSpec(64, 24), np.linspace(0.1 * fc, 2.2 * fc, 12)
+    n0 = 256 if gamma < 0.05 else 64
+    return params, TruncationSpec(n0, 24), np.linspace(0.1 * fc, 2.2 * fc, 12)
+
+
+def _fig3_sweep():
+    """fig3's gamma=0.5 sweep: params at F=0, n0 = 64, and the seventeen
+    forces 0 .. 4 in sweep order.  The needed N changes along it: 512 at
+    F = 2.5, 256 at 2.75, 64 from 3.0 up."""
+    params = _params(gamma=0.5, beta=5.0)
+    return params, TruncationSpec(64, 24), np.linspace(0.0, 4.0, 17)
 
 
 def _same_result(a, b):
@@ -446,18 +543,18 @@ def _count_solves(monkeypatch):
 
 
 def test_continuation_down_a_sweep_matches_fresh_solves():
-    # 2.2 F_c down to 0.1 F_c at gamma=1: the needed N falls 256 -> 64, so
-    # the start rung lies above the answer and the lower rungs are solved
-    params, trunc, forces = _fig1_sweep(1.0)
+    # fig3 at gamma=0.5 from F=2.25 up: the needed N falls 512 -> 64, so the
+    # start rung lies above the answer and the lower rungs are solved
+    params, trunc, forces = _fig3_sweep()
     start, trail = None, []
-    for F in forces[::-1]:
+    for F in forces[9:]:
         p = params.with_force(F)
         res = solve_transport(p, trunc, adaptive=True, start=start)
         _same_result(res, solve_transport(p, trunc, adaptive=True))
         trail.append((res.n_hermite, res.diagnostics["ladder_start"]))
         start = res.n_hermite
-    assert trail[0] == (256, 64) and trail[-1] == (64, 64)
-    assert (128, 256) in trail and (64, 128) in trail
+    assert trail[0] == (512, 64) and trail[-1] == (64, 64)
+    assert (256, 512) in trail and (64, 256) in trail
 
 
 def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
@@ -476,8 +573,8 @@ def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
 
 @pytest.mark.parametrize("start", [96, 64, 32, 0])
 def test_start_off_the_ladder_is_ignored(monkeypatch, start):
-    params, trunc, forces = _fig1_sweep(1.0)
-    p = params.with_force(forces[-1])
+    params, trunc, forces = _fig3_sweep()
+    p = params.with_force(forces[11])                    # F = 2.75 needs N = 256
     fresh = solve_transport(p, trunc, adaptive=True)
     calls = _count_solves(monkeypatch)
     res = solve_transport(p, trunc, adaptive=True, start=start)
@@ -516,10 +613,10 @@ def test_solver_error_at_start_falls_back_to_the_ladder(monkeypatch):
 
 
 def test_cap_hit_from_start_falls_back_to_the_ladder(monkeypatch):
-    # 2.2 F_c needs N = 256; with the cap at 128 no rung converges
+    # fig3's F = 2.75 needs N = 256; with the cap at 128 no rung converges
     monkeypatch.setattr(transport, "_N_HERMITE_MAX", 128)
-    params, trunc, forces = _fig1_sweep(1.0)
-    p = params.with_force(forces[-1])
+    params, trunc, forces = _fig3_sweep()
+    p = params.with_force(forces[11])
     fresh = solve_transport(p, trunc, adaptive=True)
     assert fresh.diagnostics["adaptive_cap_hit"] and fresh.n_hermite == 128
     calls = _count_solves(monkeypatch)
@@ -529,22 +626,24 @@ def test_cap_hit_from_start_falls_back_to_the_ladder(monkeypatch):
     _same_result(res, fresh)
 
 
-@pytest.mark.parametrize("gamma", [0.1, 1.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.01])
 def test_certified_rungs_really_fail(gamma):
-    # The one premise of continuation's exactness: a rung whose level in a
-    # converged solution exceeds _CERT_FACTOR * _ADAPT_TOL does not converge
-    # when solved.  Checked at every fig1 point of this friction, from the
-    # solution at every converged rung up to 512 (the sweeps need at most 256,
-    # so this covers every start continuation can carry in); a basis change
-    # that breaks the premise fails here.
+    # The one premise of continuation's exactness: a rung below which every
+    # level of a converged solution exceeds _CERT_FACTOR * _ADAPT_TOL does not
+    # converge when solved.  Checked at every fig1 point of this friction,
+    # from the solution at every converged rung up to 8 n0 (the sweeps need
+    # at most 4 n0 at gamma=0.1 and 8 n0 at gamma=0.01, so this covers every
+    # start continuation can carry in); a basis change that breaks the
+    # premise fails here.  gamma=1 converges at n0 everywhere and certifies
+    # nothing.
     params, trunc, forces = _fig1_sweep(gamma)
     tol = transport._ADAPT_TOL
     margins = []
     for F in forces:
         p = params.with_force(F)
-        blocks = hierarchy_blocks(p, trunc)
+        blocks = displaced_blocks(p, trunc)
         rungs = {}
-        for n in (64, 128, 256, 512):
+        for n in (trunc.n_hermite * k for k in (1, 2, 4, 8)):
             cur = trunc.with_n_hermite(n)
             try:
                 density = solve_stationary_fp(p, cur, blocks=blocks)
@@ -556,7 +655,7 @@ def test_certified_rungs_really_fail(gamma):
             if top is None or not top.converged:
                 continue
             for r, rung in rungs.items():
-                if r < N and top.envelope(r) > transport._CERT_FACTOR * tol:
+                if r < N and top.floor(r) > transport._CERT_FACTOR * tol:
                     margins.append(np.inf if rung is None else rung.envelope(r) / tol)
     assert len(margins) >= 12
     assert min(margins) > 1.0
