@@ -16,10 +16,11 @@ threads, which only pays when the solves release the interpreter lock); the
 CSV rows always come out in sweep order, and every float prints with 17
 significant digits, so a rerun is byte-identical.
 
-An adaptive sweep (``transport``, ``expand``, ``einstein-check``) carries the
-Hermite truncation N from point to point: each solve starts at the N the
-previous one converged at (``solve_transport``'s ``start``) and certifies the
-smaller rungs from its converged solution instead of solving them.  A point's
+An adaptive sweep (``transport``, ``expand``, ``einstein-check``) climbs the
+half-octave Hermite ladder N = n0, 3 n0/2, 2 n0, 3 n0, .. and carries the
+truncation from point to point: each solve starts at the N the previous one
+converged at (``solve_transport``'s ``start``) and certifies the smaller
+rungs from its converged solution instead of solving them.  A point's
 row is the one a solve from the configured N gives, so rows depend on
 neither the sweep order nor ``workers``.
 """

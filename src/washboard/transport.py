@@ -210,9 +210,8 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     # Q_N^- S_N: nothing above level N (dirichlet), or Phi_{N+1} = Phi_N
     g = (np.zeros((size, size)) if trunc.closure == "dirichlet"
          else np.sqrt(N + 1) * blocks.drift)
-    diag = np.arange(size)
     for n in range(N, 0, -1):
-        g[diag, diag] -= friction * n
+        g.reshape(-1)[:: size + 1] -= friction * n     # g is C-ordered: a view
         blocks.add_shift(g)
         lu, piv, info = dgetrf(g, overwrite_a=1)
         _check_info(info, f"singular closure block at hermite level n={n}; "
@@ -561,13 +560,28 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
 # Front door
 # ---------------------------------------------------------------------------
 
-# Adaptive truncation: double N until both top-level ratios are at most
-# _ADAPT_TOL, but never past _N_HERMITE_MAX levels.  A rung skipped by sweep
-# continuation counts as failed when every level of the converged solution up
-# to it exceeds _CERT_FACTOR * _ADAPT_TOL.
+# Adaptive truncation: climb the half-octave rungs of _ladder until both
+# top-level ratios are at most _ADAPT_TOL, but never past _N_HERMITE_MAX
+# levels.  A rung skipped by sweep continuation counts as failed when every
+# level of the converged solution up to it exceeds _CERT_FACTOR * _ADAPT_TOL.
 _ADAPT_TOL = 1e-8
 _CERT_FACTOR = 2.0
 _N_HERMITE_MAX = 8192
+
+
+def _ladder(n0: int) -> list[int]:
+    """The adaptive rungs n0, 3 n0/2, 2 n0, 3 n0, 4 n0, 6 n0, .. up to
+    ``_N_HERMITE_MAX``: half octaves, rounded down, strictly increasing (a
+    rung that rounds onto the one before it is dropped); [n0] alone when n0
+    is above the cap."""
+    rungs, octave = [n0], n0
+    while True:
+        for n in (3 * octave // 2, 2 * octave):
+            if n > _N_HERMITE_MAX:
+                return rungs
+            if n > rungs[-1]:
+                rungs.append(n)
+        octave *= 2
 
 
 @dataclass(frozen=True)
@@ -601,14 +615,17 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
                     adaptive: bool = False, start: int | None = None) -> TransportResult:
     """Stationary density + cell problem + diffusion in one call.
 
-    With ``adaptive=True`` the Hermite truncation climbs the ladder
-    n0, 2 n0, 4 n0, .. (n0 = ``trunc.n_hermite``, rungs up to
-    ``_N_HERMITE_MAX``) and stops at the first rung where the top level of
-    both the density and the cell solution is at most ``_ADAPT_TOL`` relative
-    to the field's largest level (needed in the small-friction regime, where
-    the hierarchy decays slowly).  A rung whose solve raises
-    :class:`SolverError` counts as failed; at the last rung the error, or an
-    unconverged result flagged ``adaptive_cap_hit``, is returned.
+    With ``adaptive=True`` the Hermite truncation climbs the half-octave
+    ladder n0, 3 n0/2, 2 n0, 3 n0, 4 n0, 6 n0, .. (n0 = ``trunc.n_hermite``,
+    rungs rounded down and up to ``_N_HERMITE_MAX``, see :func:`_ladder`) and
+    stops at the first rung where the top level of both the density and the
+    cell solution is at most ``_ADAPT_TOL`` relative to the field's largest
+    level (needed in the small-friction regime, where the hierarchy decays
+    slowly).  Consecutive rungs differ by a factor of at most 3/2 (n0 >= 2),
+    so an answer overshoots the truncation it needs by less than that.  A rung
+    whose solve raises :class:`SolverError` counts as failed; at the last
+    rung the error, or an unconverged result flagged ``adaptive_cap_hit``, is
+    returned.
 
     ``start`` (adaptive only) is sweep continuation: a rung above n0, usually
     the one the previous sweep point converged at.  The ladder then climbs
@@ -636,19 +653,17 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
 
     ``diagnostics`` records the ladder: ``ladder_start`` (the rung the
     returned answer's climb began at), ``rungs_solved`` (truncations solved
-    in this call) and ``rungs_certified`` (rungs below the answer skipped as
-    certified failures).
+    in this call), ``rungs_tried`` (their N, in the order solved) and
+    ``rungs_certified`` (rungs below the answer skipped as certified
+    failures).
     """
     blocks = displaced_blocks(params, trunc)
     n0 = trunc.n_hermite
-    rungs = [n0]
-    while adaptive and 2 * rungs[-1] <= _N_HERMITE_MAX:
-        rungs.append(2 * rungs[-1])
-    solved = 0
+    rungs = _ladder(n0) if adaptive else [n0]
+    tried = []
 
     def solve(n: int) -> _Rung:
-        nonlocal solved
-        solved += 1
+        tried.append(n)
         cur = trunc.with_n_hermite(n)
         density = solve_stationary_fp(params, cur, blocks=blocks)
         phi, cell_diag = _solve_cell(params, cur, density)
@@ -701,6 +716,6 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     diagnostics.update(answer.cell_diag)
     if adaptive and not answer.converged:
         diagnostics["adaptive_cap_hit"] = True
-    diagnostics.update(ladder_start=ladder_start, rungs_solved=solved,
-                       rungs_certified=certified)
+    diagnostics.update(ladder_start=ladder_start, rungs_solved=len(tried),
+                       rungs_certified=certified, rungs_tried=tried)
     return replace(result, diagnostics=diagnostics)

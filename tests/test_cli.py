@@ -367,8 +367,8 @@ def _transport_bytes(tmp_path, config, name):
 
 
 def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
-    # fig3 at gamma=0.5 from F = 2: N falls 512 -> 256 -> 64 along the sweep,
-    # and from F = 2.75 up the converged solutions at 512 carry a bump of
+    # fig3 at gamma=0.5 from F = 2: N falls 384 -> 256 -> 64 along the sweep,
+    # and from F = 2.75 up the converged solutions at 384 carry a bump of
     # levels (a metastable locked state) above rungs that converge when solved
     config = _fig3_gamma05(tmp_path)
     calls = _count_solves(monkeypatch)
@@ -388,7 +388,7 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     ladder = _transport_bytes(tmp_path, config, "ladder.csv")
 
     assert continued == uncertified == ladder
-    assert (n_continued, n_uncertified, len(calls)) == (16, 22, 20)
+    assert (n_continued, n_uncertified, len(calls)) == (20, 30, 28)
 
 
 def test_continued_sweep_rows_do_not_depend_on_workers(tmp_path):

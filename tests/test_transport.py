@@ -501,12 +501,13 @@ def test_mismatched_shapes_in_diffusion():
 # Sweep continuation of the adaptive ladder
 # ---------------------------------------------------------------------------
 
-_LADDER_KEYS = ("ladder_start", "rungs_solved", "rungs_certified")
+_LADDER_KEYS = ("ladder_start", "rungs_solved", "rungs_certified", "rungs_tried")
 
 
 def _fig1_sweep(gamma):
-    """fig1's parameters at one friction: params at F=0, n0 = 64, and the
-    twelve forces 0.1 .. 2.2 F_c in sweep order."""
+    """fig1's parameters at one friction: params at F=0, n0 (256 below
+    gamma = 0.05, else 64), and the twelve forces 0.1 .. 2.2 F_c in sweep
+    order."""
     v0 = np.pi ** 2 / 16.0
     params = ModelParams(gamma=gamma, beta=1.2 / v0, force=0.0,
                          potential=PeriodicPotential.cosine(v0, 2 * np.pi))
@@ -517,7 +518,7 @@ def _fig1_sweep(gamma):
 
 def _fig3_sweep():
     """fig3's gamma=0.5 sweep: params at F=0, n0 = 64, and the seventeen
-    forces 0 .. 4 in sweep order.  The needed N changes along it: 512 at
+    forces 0 .. 4 in sweep order.  The needed N changes along it: 384 at
     F = 2.5, 256 at 2.75, 64 from 3.0 up."""
     params = _params(gamma=0.5, beta=5.0)
     return params, TruncationSpec(64, 24), np.linspace(0.0, 4.0, 17)
@@ -543,7 +544,7 @@ def _count_solves(monkeypatch):
 
 
 def test_continuation_down_a_sweep_matches_fresh_solves():
-    # fig3 at gamma=0.5 from F=2.25 up: the needed N falls 512 -> 64, so the
+    # fig3 at gamma=0.5 from F=2.25 up: the needed N falls 384 -> 64, so the
     # start rung lies above the answer and the lower rungs are solved
     params, trunc, forces = _fig3_sweep()
     start, trail = None, []
@@ -553,32 +554,35 @@ def test_continuation_down_a_sweep_matches_fresh_solves():
         _same_result(res, solve_transport(p, trunc, adaptive=True))
         trail.append((res.n_hermite, res.diagnostics["ladder_start"]))
         start = res.n_hermite
-    assert trail[0] == (512, 64) and trail[-1] == (64, 64)
-    assert (256, 512) in trail and (64, 256) in trail
+    assert trail[0] == (384, 64) and trail[-1] == (64, 64)
+    assert (256, 384) in trail and (64, 256) in trail
 
 
 def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
-    params, trunc, forces = _fig1_sweep(0.1)
+    # every fig1 point at gamma=0.01 converges at 1536, five rungs above n0
+    params, trunc, forces = _fig1_sweep(0.01)
     calls = _count_solves(monkeypatch)
     first = solve_transport(params.with_force(forces[0]), trunc, adaptive=True)
-    assert calls == [64, 128, 256]
+    assert calls == [256, 384, 512, 768, 1024, 1536]
+    assert first.diagnostics["rungs_tried"] == calls
     p = params.with_force(forces[1])
     del calls[:]
     res = solve_transport(p, trunc, adaptive=True, start=first.n_hermite)
-    assert calls == [256]
+    assert calls == [1536]
     assert {k: res.diagnostics[k] for k in _LADDER_KEYS} == \
-        {"ladder_start": 256, "rungs_solved": 1, "rungs_certified": 2}
+        {"ladder_start": 1536, "rungs_solved": 1, "rungs_certified": 5,
+         "rungs_tried": [1536]}
     _same_result(res, solve_transport(p, trunc, adaptive=True))
 
 
-@pytest.mark.parametrize("start", [96, 64, 32, 0])
+@pytest.mark.parametrize("start", [100, 80, 64, 32, 0])
 def test_start_off_the_ladder_is_ignored(monkeypatch, start):
     params, trunc, forces = _fig3_sweep()
     p = params.with_force(forces[11])                    # F = 2.75 needs N = 256
     fresh = solve_transport(p, trunc, adaptive=True)
     calls = _count_solves(monkeypatch)
     res = solve_transport(p, trunc, adaptive=True, start=start)
-    assert calls == [64, 128, 256]
+    assert calls == [64, 96, 128, 192, 256]
     assert res.diagnostics["ladder_start"] == 64
     _same_result(res, fresh)
 
@@ -609,6 +613,7 @@ def test_solver_error_at_start_falls_back_to_the_ladder(monkeypatch):
     assert calls == [256, 64]
     assert res.diagnostics["ladder_start"] == 64
     assert res.diagnostics["rungs_solved"] == 2
+    assert res.diagnostics["rungs_tried"] == [256, 64]
     _same_result(res, fresh)
 
 
@@ -621,7 +626,7 @@ def test_cap_hit_from_start_falls_back_to_the_ladder(monkeypatch):
     assert fresh.diagnostics["adaptive_cap_hit"] and fresh.n_hermite == 128
     calls = _count_solves(monkeypatch)
     res = solve_transport(p, trunc, adaptive=True, start=128)
-    assert calls == [128, 64, 128]
+    assert calls == [128, 64, 96, 128]
     assert res.diagnostics["ladder_start"] == 64
     _same_result(res, fresh)
 
@@ -632,9 +637,9 @@ def test_certified_rungs_really_fail(gamma):
     # level of a converged solution exceeds _CERT_FACTOR * _ADAPT_TOL does not
     # converge when solved.  Checked at every fig1 point of this friction,
     # from the solution at every converged rung up to 8 n0 (the sweeps need
-    # at most 4 n0 at gamma=0.1 and 8 n0 at gamma=0.01, so this covers every
-    # start continuation can carry in); a basis change that breaks the
-    # premise fails here.  gamma=1 converges at n0 everywhere and certifies
+    # at most 4 n0 at gamma=0.1 and 6 n0 at gamma=0.01, so this covers every
+    # start continuation can carry in); a basis or ladder change that breaks
+    # the premise fails here.  gamma=1 converges at n0 everywhere and certifies
     # nothing.
     params, trunc, forces = _fig1_sweep(gamma)
     tol = transport._ADAPT_TOL
@@ -643,7 +648,7 @@ def test_certified_rungs_really_fail(gamma):
         p = params.with_force(F)
         blocks = displaced_blocks(p, trunc)
         rungs = {}
-        for n in (trunc.n_hermite * k for k in (1, 2, 4, 8)):
+        for n in (trunc.n_hermite * k // 2 for k in (2, 3, 4, 6, 8, 12, 16)):
             cur = trunc.with_n_hermite(n)
             try:
                 density = solve_stationary_fp(p, cur, blocks=blocks)
@@ -659,3 +664,59 @@ def test_certified_rungs_really_fail(gamma):
                     margins.append(np.inf if rung is None else rung.envelope(r) / tol)
     assert len(margins) >= 12
     assert min(margins) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# The half-octave ladder
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 64, 256])
+def test_ladder_rungs(n0):
+    rungs = transport._ladder(n0)
+    assert rungs[0] == n0
+    assert all(a < b for a, b in zip(rungs, rungs[1:]))
+    assert rungs[-1] <= transport._N_HERMITE_MAX
+    assert all(isinstance(n, int) for n in rungs)
+    # every half octave above n0 is on it: 2^k n0 and 3 2^(k-1) n0 rounded down
+    expected = {n0 << k for k in range(14)} | {(3 * n0 << k) // 2 for k in range(14)}
+    assert rungs == sorted(n for n in expected if n <= transport._N_HERMITE_MAX)
+
+
+def test_ladder_above_the_cap_is_n0_alone():
+    n0 = transport._N_HERMITE_MAX + 1
+    assert transport._ladder(n0) == [n0]
+    assert transport._ladder(transport._N_HERMITE_MAX) == [transport._N_HERMITE_MAX]
+
+
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+def test_factors_equal_the_dense_schur_step(closure):
+    # the in-place step (a strided view of the diagonal, the shift through
+    # d_q's nonzeros) builds G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q as the
+    # dense expression does, and the bottom block bit for bit
+    params = _params(gamma=0.3, beta=2.0, force=0.4)
+    trunc = TruncationSpec(12, 6, closure=closure)
+    f = factor_hierarchy(params, trunc)
+    b = f.blocks
+    g = np.zeros_like(b.d_q) if closure == "dirichlet" else np.sqrt(13) * b.drift
+    for n in range(12, 0, -1):
+        g = g - b.friction * n * np.eye(b.size) + b.shift * b.d_q
+        assert np.allclose(np.linalg.inv(g), f.inverses[n], rtol=1e-12, atol=1e-14)
+        g = -n * (b.drift @ (f.inverses[n] @ b.d_q))
+    assert np.array_equal(b.add_shift(g), f.bottom)
+
+
+@pytest.mark.parametrize("frac", [0.1, 1.05, 2.2])
+def test_fig1_small_friction_answers_at_1536_are_converged(frac):
+    # The half-octave ladder returns fig1's gamma=0.01 points at N = 1536:
+    # the answer must agree with the N=2048 solve and give the same dual-D
+    # verdict.
+    params, trunc, _ = _fig1_sweep(0.01)
+    p = params.with_force(frac * 3.36 * 0.01 * np.sqrt(np.pi ** 2 / 16.0))
+    res = solve_transport(p, trunc, adaptive=True)
+    ref = solve_transport(p, trunc.with_n_hermite(2048))
+    assert res.n_hermite == 1536
+    assert res.drift == pytest.approx(ref.drift, rel=1e-10)
+    assert res.d_primary == pytest.approx(ref.d_primary, rel=1e-10)
+    d_l = 1.0 / (p.beta * p.gamma)
+    verdict = lambda r: abs(r.d_primary - r.d_ibp) <= 1e-6 * d_l
+    assert verdict(res) == verdict(ref)
