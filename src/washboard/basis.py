@@ -1,4 +1,4 @@
-"""Hermite-Fourier basis bookkeeping, ladder operators, and weighted quadrature.
+"""Hermite-Fourier basis bookkeeping, ladder operators, and the Gibbs pairing.
 
 Functions of (q, p) on the periodic cell are expanded as
 
@@ -25,6 +25,8 @@ and reads packed vectors only through its helpers:
     packed_mult_matrix             multiplication by a real function
                                    (a Fourier convolution, Galerkin-truncated)
     fourier_table                  reconstruction: packed @ table = values on a q grid
+    gibbs_gram                     the Gram matrix G of the equilibrium pairing:
+                                   <g, h>_beta = sum_n g_n . G h_n (gibbs_inner)
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "HermiteFourierField",
     "hermite_eval",
     "hermite_table",
-    "gauss_hermite_functions",
     "apply_raise",
     "apply_lower",
     "apply_momentum",
@@ -54,8 +55,8 @@ __all__ = [
     "unpack_complex",
     "fourier_table",
     "gauss_maxwell_nodes",
-    "GibbsQuadrature",
-    "weighted_inner_product",
+    "gibbs_gram",
+    "gibbs_inner",
 ]
 
 
@@ -111,43 +112,6 @@ def hermite_table(n_max: int, x) -> np.ndarray:
         T[1] = x
     for n in range(1, n_max):
         T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
-    return T.T
-
-
-_RESCALE = 1e100
-
-
-def gauss_hermite_functions(n_max: int, x) -> np.ndarray:
-    """Hermite functions sqrt(w_i) He_n(x_i)/sqrt(n!), n = 0..n_max, on the
-    nodes x of the Gauss rule for the unit Maxwellian, w_i its weights.
-
-    The weights come from the Christoffel identity
-    1/w_i = sum_{k < len(x)} He_k(x_i)^2/k!, summed along the same recurrence,
-    which is rescaled per node whenever it grows large.  The table therefore
-    stays finite and orthonormal (T.T @ T = I) where the bare polynomials
-    overflow and the weights underflow: at the outer nodes of a rule with a
-    few hundred points or more.  Returns shape (len(x), n_max+1), a
-    column-major view like :func:`hermite_table`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n_max >= x.size:
-        raise ValueError(f"n_max={n_max} needs more than {x.size} nodes")
-    T = np.empty((n_max + 1, x.size))
-    T[0] = 1.0
-    prev, cur = np.zeros(x.size), np.ones(x.size)
-    norm2 = np.ones(x.size)
-    for k in range(1, x.size):
-        prev, cur = cur, (x * cur - np.sqrt(k - 1) * prev) / np.sqrt(k)
-        big = np.abs(cur) > _RESCALE
-        if big.any():
-            prev[big] /= _RESCALE
-            cur[big] /= _RESCALE
-            norm2[big] /= _RESCALE ** 2
-            T[: min(k, n_max + 1), big] /= _RESCALE
-        norm2 += cur * cur
-        if k <= n_max:
-            T[k] = cur
-    T /= np.sqrt(norm2)
     return T.T
 
 
@@ -397,70 +361,34 @@ def apply_momentum(field: HermiteFourierField) -> HermiteFourierField:
 
 
 # ---------------------------------------------------------------------------
-# Gibbs-weighted quadrature
+# Gibbs pairing
 # ---------------------------------------------------------------------------
 
-class GibbsQuadrature:
-    """Tensor quadrature against the equilibrium density rho_bar = Z^-1 e^{-beta H0}.
+def gibbs_gram(params: ModelParams, n_fourier: int) -> np.ndarray:
+    """Gram matrix G of the pairing against the equilibrium density
+    rho_bar = Z^-1 e^{-beta H0} on packed Fourier vectors.
 
-    Gauss nodes matched to the Maxwellian in p, uniform trapezoid against
-    e^{-beta V}/Z_q in q.  Z is computed with the same rule, so <1,1> = 1 holds
-    by construction.  Exact for pair products of fields resolved by the rule.
-
-    The square root of each Gauss weight is folded into the Hermite table
-    (:func:`gauss_hermite_functions`), so :meth:`values` returns sqrt(w_p) g
-    on the grid and :meth:`integrate` takes a product of two such arrays
-    (times any plain factor, such as p).
+    The Hermite levels are orthonormal against the Maxwellian, so for fields
+    in the centred basis <g, h>_beta = sum_n g_n . G h_n (:func:`gibbs_inner`),
+    with G = L W packed_mult_matrix(w) and w = e^{-beta V}/Z_q normalized to
+    int w dq = 1.  A product of two levels carries harmonics up to 2M, so w
+    enters through its harmonics 0..2M, taken from an FFT on max(1024, 16M)
+    points; G is symmetric and exact up to their aliasing error.  Column 0 is
+    the functional <., 1>_beta on level 0.
     """
-
-    def __init__(self, params: ModelParams, n_hermite: int, n_fourier: int,
-                 n_p: int | None = None, n_q: int | None = None):
-        N, M = n_hermite, n_fourier
-        if n_p is None:
-            n_p = 2 * N + 8
-        if n_q is None:
-            n_q = max(64, 8 * M)
-        if n_p < 2 * N + 2:
-            raise ValueError(f"n_p={n_p} below 2N+2={2*N+2}: aliasing risk")
-        if n_q < 4 * M:
-            raise ValueError(f"n_q={n_q} below 4M={4*M}: aliasing risk")
-        self.params = params
-        self.n_hermite, self.n_fourier = N, M
-        beta = params.beta
-        L = params.potential.period
-        self.x, _ = roots_hermitenorm(n_p)
-        self.q = np.arange(n_q) * L / n_q
-        wq = np.exp(-beta * params.potential.evaluate(self.q))
-        self.wq = wq / wq.sum()
-        self.hermite = gauss_hermite_functions(N, self.x)  # (n_p, N+1)
-        self.fourier = fourier_table(M, L, self.q)        # (2M+1, n_q)
-        self.p = self.x / np.sqrt(beta)
-
-    def values(self, g: HermiteFourierField) -> np.ndarray:
-        """sqrt(w_p) times the field values on the (p, q) grid, shape (n_p, n_q)."""
-        if g.n_hermite != self.n_hermite or g.n_fourier != self.n_fourier:
-            raise ValueError("field truncation does not match quadrature grid")
-        if g.p0:
-            raise ValueError(f"field is in the basis centred at p0={g.p0}; "
-                             "the Gibbs quadrature needs the centred basis")
-        return self.hermite @ g.coeffs @ self.fourier
-
-    def integrate(self, vals: np.ndarray) -> float:
-        """Integral against rho_bar of a product of two :meth:`values` arrays."""
-        return float(np.sum(vals @ self.wq))
-
-    def inner(self, g: HermiteFourierField, h: HermiteFourierField) -> float:
-        return self.integrate(self.values(g) * self.values(h))
+    L, M = params.potential.period, n_fourier
+    n = max(1024, 16 * M)
+    w = np.exp(-params.beta * params.potential.evaluate(np.arange(n) * L / n))
+    w = w / (w.mean() * L)
+    w_hat = np.fft.rfft(w)[: 2 * M + 1] / n
+    return (L * packed_metric(M))[:, None] * packed_mult_matrix(w_hat, M, L)
 
 
-def weighted_inner_product(g: HermiteFourierField, h: HermiteFourierField,
-                           params: ModelParams,
-                           quadrature: GibbsQuadrature | None = None) -> float:
-    """<g, h>_beta = int g h rho_bar dp dq.
-
-    ``quadrature`` may be a prebuilt :class:`GibbsQuadrature` (reused across
-    many products); by default one with the default orders is built.
-    """
-    if quadrature is None:
-        quadrature = GibbsQuadrature(params, g.n_hermite, g.n_fourier)
-    return quadrature.inner(g, h)
+def gibbs_inner(gram: np.ndarray, g: HermiteFourierField,
+                h: HermiteFourierField) -> float:
+    """<g, h>_beta = int g h rho_bar dp dq, with ``gram`` from :func:`gibbs_gram`."""
+    for f in (g, h):
+        if f.p0:
+            raise ValueError(f"field is in the basis centred at p0={f.p0}; "
+                             "the Gibbs pairing needs the centred basis")
+    return float(np.vdot(g.coeffs, h.coeffs @ gram))

@@ -345,10 +345,15 @@ def cmd_expand(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     trunc = _build_trunc(cfg)
     order = _number(int, cfg["order"], "order")
-    orders = cfg["orders"] or sorted({1, max(1, (order + 1) // 2), order})
+    if order < 1:
+        raise ConfigError(f"order must be >= 1, got {order}")
+    orders = cfg["orders"] or sorted({1, (order + 1) // 2, order})
     if not isinstance(orders, list):
         raise ConfigError(f"orders must be a list of integers, got {orders!r}")
-    orders = [o for o in (_number(int, o, "orders entry") for o in orders) if o <= order]
+    orders = [_number(int, o, "orders entry") for o in orders]
+    if min(orders) < 1:
+        raise ConfigError(f"orders entries must be >= 1, got {orders}")
+    orders = [o for o in orders if o <= order]
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")

@@ -21,6 +21,13 @@ nonperturbative solver buys nothing).  Both chains share one factorization:
 the adjoint is the momentum-flip conjugate -Lhat0 = J (-L0) J with
 J = diag((-1)^m) over the Hermite levels, and J fixes level 0, where the
 border row and column live.
+
+Every integral against the equilibrium density is one pairing
+<g, h>_beta = sum_n g_n . G h_n through the Gibbs Gram matrix G of
+:func:`~washboard.basis.gibbs_gram`: V_j = <p, f_j>, its phi-form
+beta <p, phi_{j-1}>, the side conditions <f_r, phi_{j-r}>,
+Sigma_nl = <p phi_{l-n}, f_n> and Xi_nl = <phi_{l-n}, a- f_n>/beta; the
+border row <psi, 1>_beta is G's column 0 on level 0.
 """
 
 from __future__ import annotations
@@ -33,13 +40,13 @@ import scipy.sparse.linalg as spla
 
 from .model import ModelParams
 from .basis import (
-    GibbsQuadrature,
     HermiteFourierField,
     TruncationSpec,
     apply_lower,
+    apply_momentum,
     apply_raise,
-    pack_complex,
-    packed_metric,
+    gibbs_gram,
+    gibbs_inner,
 )
 from .transport import SolverError, hierarchy_blocks
 
@@ -109,21 +116,6 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec) -> sp.csr_mat
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
-def _mean_functional(params: ModelParams, trunc: TruncationSpec) -> np.ndarray:
-    """Vector t with <psi, 1>_beta = t . psi_flat (level 0 only survives in p).
-
-    Its level-0 block is L W times the packed coefficients of the Gibbs
-    weight w(q) = e^{-beta V}/Z_q, normalized to int w dq = 1.
-    """
-    L, M = params.potential.period, trunc.n_fourier
-    n = max(1024, 16 * M)
-    w = np.exp(-params.beta * params.potential.evaluate(np.arange(n) * L / n))
-    w = w / (w.mean() * L)
-    t = np.zeros((trunc.n_hermite + 1) * (2 * M + 1))
-    t[: 2 * M + 1] = L * packed_metric(M) * pack_complex(np.fft.rfft(w)[: M + 1] / n)
-    return t
-
-
 # Largest |<1, rhs>_beta| a Poisson right-hand side may carry, relative to
 # max(max|rhs|, 1).
 _SOLVABILITY_TOL = 1e-9
@@ -132,9 +124,11 @@ _SOLVABILITY_TOL = 1e-9
 class EquilibriumPoissonSolver:
     """Factorized bordered solver for -L0 psi = u.
 
-    The border row enforces <psi, 1>_beta = 0 and the border column absorbs
-    the (spectrally small) discrete solvability defect, returned as ``lam``.
-    The factorization is reused across right-hand sides.
+    The border row enforces <psi, 1>_beta = 0: it is column 0 of the Gibbs
+    Gram matrix ``gram`` (:func:`~washboard.basis.gibbs_gram`) on level 0.
+    The border column absorbs the (spectrally small) discrete solvability
+    defect, returned as ``lam``.  The factorization is reused across
+    right-hand sides.
     """
 
     def __init__(self, params: ModelParams, trunc: TruncationSpec):
@@ -143,8 +137,10 @@ class EquilibriumPoissonSolver:
         self.params = params
         self.trunc = trunc
         A = assemble_generator(params, trunc)
-        t = _mean_functional(params, trunc)
         n = A.shape[0]
+        self.gram = gibbs_gram(params, trunc.n_fourier)
+        t = np.zeros(n)
+        t[: self.gram.shape[0]] = self.gram[:, 0]
         e0 = sp.csc_matrix((np.ones(1), (np.zeros(1, int), np.zeros(1, int))), shape=(n, 1))
         bordered = sp.bmat([[A, e0], [sp.csr_matrix(t[None, :]), sp.csr_matrix((1, 1))]],
                            format="csc")
@@ -195,7 +191,8 @@ def _flip_momentum(field: HermiteFourierField) -> HermiteFourierField:
 @dataclass(frozen=True)
 class EquilibriumChain:
     """Solutions f_0..f_K and phi_0..phi_{K-1} of the equilibrium chain,
-    the drift coefficients V_1..V_K, and the shared quadrature grid."""
+    the drift coefficients V_1..V_K, and the Gibbs Gram matrix every pairing
+    of the chain's fields goes through."""
 
     params: ModelParams
     trunc: TruncationSpec
@@ -203,12 +200,13 @@ class EquilibriumChain:
     fs: tuple[HermiteFourierField, ...]
     phis: tuple[HermiteFourierField, ...]
     v: np.ndarray                       # v[j] = V_j, v[0] = 0
-    v_phi_form: np.ndarray              # beta * int phi_{j-1} p rho_bar
-    grid: GibbsQuadrature = field(repr=False)
+    v_phi_form: np.ndarray              # beta <p, phi_{j-1}>_beta
+    gram: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def inner(self, g: HermiteFourierField, h: HermiteFourierField) -> float:
-        return self.grid.inner(g, h)
+        """<g, h>_beta = int g h rho_bar dp dq."""
+        return gibbs_inner(self.gram, g, h)
 
 
 def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
@@ -236,37 +234,31 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     beta = params.beta
 
     solver = EquilibriumPoissonSolver(params, trunc)
-    grid = GibbsQuadrature(params, N, M)
+    gram = solver.gram
     p_field = HermiteFourierField.momentum(N, M, L, beta)
-    pvals = grid.values(p_field)
 
     lams: dict[str, float] = {}
     residuals: dict[str, float] = {}
     solvability: dict[str, float] = {}
 
     fs = [HermiteFourierField.constant(1.0, N, M, L, beta)]
-    f_vals = [grid.values(fs[0])]
     for j in range(1, order + 1):
         rhs = apply_raise(fs[j - 1])
         try:
             f, lam, res = solver.solve(_flip_momentum(rhs))
         except SolverError as exc:
             raise SolverError(f"f-chain solve failed at j={j}: {exc}") from exc
-        f = _flip_momentum(f)
-        fs.append(f)
-        f_vals.append(grid.values(f))
+        fs.append(_flip_momentum(f))
         lams[f"f{j}"] = lam
         residuals[f"f{j}"] = res
 
     v = np.zeros(order + 1)
     for j in range(1, order + 1):
-        v[j] = grid.integrate(pvals * f_vals[j])
+        v[j] = gibbs_inner(gram, p_field, fs[j])
 
     phis = []
-    phi_vals = []
     phi0, lam, res = solver.solve(p_field)
     phis.append(phi0)
-    phi_vals.append(grid.values(phi0))
     lams["phi0"] = lam
     residuals["phi0"] = res
     for j in range(1, order):
@@ -282,18 +274,16 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
                 f"phi-chain solvability failed at j={j}: "
                 f"<a- phi_{j-1}, 1> - V_{j} = {mean_lowered - v[j]:.3e}"
             ) from exc
-        target = -sum(grid.integrate(f_vals[r] * phi_vals[j - r])
-                      for r in range(1, j + 1))
+        target = -sum(gibbs_inner(gram, fs[r], phis[j - r]) for r in range(1, j + 1))
         coeffs = phi.coeffs.copy()
         coeffs[0, 0] += target
         phis.append(phi.with_coeffs(coeffs))
-        phi_vals.append(grid.values(phis[j]))
         lams[f"phi{j}"] = lam
         residuals[f"phi{j}"] = res
 
     v_phi = np.zeros(order + 1)
     for j in range(1, min(order, len(phis)) + 1):
-        v_phi[j] = beta * grid.integrate(pvals * phi_vals[j - 1])
+        v_phi[j] = beta * gibbs_inner(gram, p_field, phis[j - 1])
 
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(v_phi))):
         raise SolverError("non-finite drift coefficient in the equilibrium chain")
@@ -301,7 +291,7 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     return EquilibriumChain(
         params=params, trunc=trunc, order=order,
         fs=tuple(fs), phis=tuple(phis), v=v, v_phi_form=v_phi,
-        grid=grid, diagnostics=diagnostics,
+        gram=gram, diagnostics=diagnostics,
     )
 
 
@@ -359,22 +349,20 @@ class ExpansionTable:
 
 
 def diffusion_coefficients(chain: EquilibriumChain) -> ExpansionTable:
-    """Sigma/Xi tables by weighted quadrature of the chain fields and the
+    """Sigma/Xi tables by Gibbs pairings of the chain fields,
+    Sigma_nl = <p phi_{l-n}, f_n> and Xi_nl = <phi_{l-n}, a- f_n>/beta, and the
     assembled D-series coefficients."""
     K = chain.order
     beta = chain.params.beta
-    grid = chain.grid
-    pvals = (grid.p[:, None]) * np.ones((1, grid.q.size))
-    f_vals = [grid.values(f) for f in chain.fs]
-    df_vals = [grid.values(apply_lower(f)) for f in chain.fs]
-    phi_vals = [grid.values(p) for p in chain.phis]
+    p_phis = [apply_momentum(phi) for phi in chain.phis]
+    lowered = [apply_lower(f) for f in chain.fs]
 
     sigma = np.zeros((K, K))
     xi = np.zeros((K, K))
     for ell in range(1, K):
         for n in range(1, ell + 1):
-            sigma[n - 1, ell - 1] = grid.integrate(pvals * phi_vals[ell - n] * f_vals[n])
-            xi[n - 1, ell - 1] = grid.integrate(phi_vals[ell - n] * df_vals[n]) / beta
+            sigma[n - 1, ell - 1] = chain.inner(p_phis[ell - n], chain.fs[n])
+            xi[n - 1, ell - 1] = chain.inner(chain.phis[ell - n], lowered[n]) / beta
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(xi))):
         raise SolverError("non-finite Sigma/Xi coefficient in the equilibrium chain")
 

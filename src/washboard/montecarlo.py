@@ -54,6 +54,8 @@ class McConfig:
             raise ValueError("need n_steps > n_burnin >= 0")
         if self.n_traj < 2:
             raise ValueError("need n_traj >= 2 for error bars")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

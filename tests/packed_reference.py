@@ -5,9 +5,16 @@ These are the original element-by-element constructions of
 harmonic by harmonic, and multiplication as the conjugation P C U of the
 complex two-sided convolution matrix C by the packed <-> complex maps.  The
 tests hold the vectorized library versions to them bit for bit.
+
+``GibbsTensorQuadrature`` is a brute (p, q) quadrature against the
+equilibrium density, the independent reference for the Gibbs pairing
+``washboard.basis.gibbs_inner``.
 """
 
 import numpy as np
+from scipy.special import roots_hermitenorm
+
+from washboard.basis import hermite_table
 
 
 def reference_dq_matrix(n_fourier: int, period: float) -> np.ndarray:
@@ -51,3 +58,43 @@ def reference_mult_matrix(coeffs: np.ndarray, n_fourier: int, period: float) -> 
     A = (P @ C @ U)
     assert np.abs(A.imag).max() < 1e-12 * max(np.abs(A.real).max(), 1.0)
     return A.real
+
+
+class GibbsTensorQuadrature:
+    """int g h rho_bar dp dq on a tensor grid, rho_bar = Z^-1 e^{-beta H0}.
+
+    Gauss nodes of the unit Maxwellian in p (``n_p`` of them: exact for
+    polynomials in p of degree up to 2 n_p - 1) and a uniform trapezoid
+    against e^{-beta V} in q, normalized on the grid itself.  Fields are
+    evaluated point by point, Hermite levels through ``hermite_table`` and
+    Fourier levels harmonic by harmonic.
+    """
+
+    def __init__(self, params, n_p: int, n_q: int):
+        self.beta = params.beta
+        self.period = params.potential.period
+        x, wx = roots_hermitenorm(n_p)
+        self.x = x
+        self.p = x / np.sqrt(self.beta)
+        self.q = np.arange(n_q) * self.period / n_q
+        wq = np.exp(-self.beta * params.potential.evaluate(self.q))
+        self.weights = np.outer(wx / wx.sum(), wq / wq.sum())   # (n_p, n_q)
+
+    def values(self, field) -> np.ndarray:
+        """Field values on the (p, q) grid, shape (n_p, n_q)."""
+        assert field.p0 == 0.0
+        c = field.coeffs
+        M = field.n_fourier
+        w1 = 2.0 * np.pi / self.period
+        levels = np.repeat(c[:, :1], self.q.size, axis=1)
+        for k in range(1, M + 1):
+            levels = levels + 2.0 * (np.outer(c[:, k], np.cos(k * w1 * self.q))
+                                     - np.outer(c[:, M + k], np.sin(k * w1 * self.q)))
+        return hermite_table(field.n_hermite, self.x) @ levels
+
+    def integrate(self, vals: np.ndarray) -> float:
+        """Integral against rho_bar of values on the grid."""
+        return float(np.sum(self.weights * vals))
+
+    def inner(self, g, h) -> float:
+        return self.integrate(self.values(g) * self.values(h))

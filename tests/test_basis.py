@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import (FourierVector, GibbsQuadrature, HermiteFourierField,
+from washboard.basis import (FourierVector, HermiteFourierField,
                              TruncationSpec, apply_lower, apply_momentum,
                              apply_q_derivative, apply_raise, fourier_table,
-                             gauss_maxwell_nodes, hermite_eval, pack_complex,
-                             packed_dq_matrix, packed_metric, packed_mult_matrix,
-                             unpack_complex, weighted_inner_product)
+                             gauss_maxwell_nodes, gibbs_gram, gibbs_inner,
+                             hermite_eval, pack_complex, packed_dq_matrix,
+                             packed_metric, packed_mult_matrix, unpack_complex)
 
-from packed_reference import reference_dq_matrix, reference_mult_matrix
+from packed_reference import (GibbsTensorQuadrature, reference_dq_matrix,
+                              reference_mult_matrix)
 
 
 def _random_field(rng, n_hermite=12, n_fourier=3, period=1.0, beta=2.0, headroom=2):
@@ -43,15 +44,6 @@ def test_hermite_orthonormality_by_quadrature():
         for m in range(0, 13, 4):
             val = np.sum(w * hermite_eval(n, p, beta) * hermite_eval(m, p, beta))
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-13)
-
-
-def test_gibbs_hermite_table_finite_and_orthonormal_at_512():
-    # 1032 Gauss nodes: the bare polynomials overflow at the outer nodes and
-    # the weights underflow there
-    grid = GibbsQuadrature(_params(beta=5.0), 512, 4)
-    H = grid.hermite
-    assert np.all(np.isfinite(H))
-    assert np.abs(H.T @ H - np.eye(513)).max() <= 1e-12
 
 
 def test_hermite_eval_rejects_negative():
@@ -284,36 +276,43 @@ def test_displaced_field_operators():
         beta * apply_momentum(g).coeffs - apply_lower(g).coeffs, abs=1e-12)
     with pytest.raises(ValueError, match="centred"):
         g.plus(HermiteFourierField(c, 1.0, beta))
+    gram = gibbs_gram(_params(beta=beta), 3)
+    centred = HermiteFourierField(c, 1.0, beta)
     with pytest.raises(ValueError, match="centred"):
-        GibbsQuadrature(_params(beta=beta), 12, 3).values(g)
+        gibbs_inner(gram, g, centred)
+    with pytest.raises(ValueError, match="centred"):
+        gibbs_inner(gram, centred, g)
 
 
 # ---------------------------------------------------------------------------
-# Weighted inner product
+# Gibbs pairing
 # ---------------------------------------------------------------------------
+
+def _inner(g, h, params):
+    return gibbs_inner(gibbs_gram(params, g.n_fourier), g, h)
+
 
 def test_inner_product_normalization_and_orthogonality():
     params = _params(v0=1.0, beta=2.0)
     one = HermiteFourierField.constant(1.0, 10, 4, 1.0, 2.0)
-    assert weighted_inner_product(one, one, params) == pytest.approx(1.0, abs=1e-14)
+    assert _inner(one, one, params) == pytest.approx(1.0, abs=1e-14)
 
     flat = _params(v0=0.0, beta=2.0)
     h1 = HermiteFourierField.zeros(10, 4, 1.0, 2.0).coeffs.copy()
     h1[1, 0] = 1.0
     h1f = HermiteFourierField(h1, 1.0, 2.0)
-    assert weighted_inner_product(h1f, h1f, flat) == pytest.approx(1.0, abs=1e-13)
+    assert _inner(h1f, h1f, flat) == pytest.approx(1.0, abs=1e-13)
     h2 = HermiteFourierField.zeros(10, 4, 1.0, 2.0).coeffs.copy()
     h2[2, 0] = 1.0
     h2f = HermiteFourierField(h2, 1.0, 2.0)
-    assert weighted_inner_product(h1f, h2f, _params(v0=1.0, beta=2.0)) == \
+    assert _inner(h1f, h2f, _params(v0=1.0, beta=2.0)) == \
         pytest.approx(0.0, abs=1e-13)
 
 
 def test_gaussian_moment():
     params = _params(v0=0.7, beta=3.0)
     p_field = HermiteFourierField.momentum(10, 4, 1.0, 3.0)
-    assert weighted_inner_product(p_field, p_field, params) == \
-        pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert _inner(p_field, p_field, params) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_adjointness_of_ladder_pair():
@@ -322,8 +321,8 @@ def test_adjointness_of_ladder_pair():
     for _ in range(5):
         g = _random_field(rng, n_hermite=12, n_fourier=3, beta=2.0)
         h = _random_field(rng, n_hermite=12, n_fourier=3, beta=2.0)
-        lhs = weighted_inner_product(apply_raise(g), h, params)
-        rhs = weighted_inner_product(g, apply_lower(h), params)
+        lhs = _inner(apply_raise(g), h, params)
+        rhs = _inner(g, apply_lower(h), params)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -333,19 +332,37 @@ def test_inner_product_symmetric_bilinear():
     g = _random_field(rng, beta=1.5)
     h = _random_field(rng, beta=1.5)
     k = _random_field(rng, beta=1.5)
-    grid = GibbsQuadrature(params, 12, 3)
-    assert grid.inner(g, h) == pytest.approx(grid.inner(h, g), rel=1e-13, abs=1e-15)
+    gram = gibbs_gram(params, 3)
+    assert np.array_equal(gram, gram.T)
+    assert gibbs_inner(gram, g, h) == pytest.approx(gibbs_inner(gram, h, g),
+                                                    rel=1e-13, abs=1e-15)
     gh = g.with_coeffs(2.5 * g.coeffs + k.coeffs)
-    assert grid.inner(gh, h) == pytest.approx(
-        2.5 * grid.inner(g, h) + grid.inner(k, h), rel=1e-12, abs=1e-13)
+    assert gibbs_inner(gram, gh, h) == pytest.approx(
+        2.5 * gibbs_inner(gram, g, h) + gibbs_inner(gram, k, h), rel=1e-12, abs=1e-13)
 
 
-def test_quadrature_order_guard():
-    params = _params()
-    with pytest.raises(ValueError):
-        GibbsQuadrature(params, 10, 4, n_p=20, n_q=64)   # n_p < 2N+2
-    with pytest.raises(ValueError):
-        GibbsQuadrature(params, 10, 4, n_p=40, n_q=15)   # n_q < 4M
+_MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
+                           sin_coeffs=(0.0, 0.25), offset=1.5)
+
+
+@pytest.mark.parametrize("potential,n_fourier,beta", [
+    (PeriodicPotential.cosine(1.0, 1.0), 24, 5.0),
+    (PeriodicPotential.cosine(1.0, 1.0), 3, 2.0),
+    (_MIXED, 6, 5.0),
+])
+def test_gibbs_pairing_matches_tensor_quadrature(potential, n_fourier, beta):
+    # every level filled, the top one included: the pairing is exact in the
+    # truncated basis, not only for fields with headroom
+    params = ModelParams(gamma=1.0, beta=beta, force=0.0, potential=potential)
+    ref = GibbsTensorQuadrature(params, n_p=40, n_q=512)
+    gram = gibbs_gram(params, n_fourier)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        g, h = (_random_field(rng, 12, n_fourier, potential.period, beta, headroom=0)
+                for _ in range(2))
+        scale = np.sqrt(ref.inner(g, g) * ref.inner(h, h))
+        assert abs(gibbs_inner(gram, g, h) - ref.inner(g, h)) <= 1e-12 * scale
+        assert abs(gibbs_inner(gram, g, g) - ref.inner(g, g)) <= 1e-12 * ref.inner(g, g)
 
 
 def test_truncation_spec_validation():

@@ -119,8 +119,8 @@ def test_expand_mode_columns_and_overlap(tmp_path, cos_config):
 
 
 def test_expand_at_512_levels_is_finite(tmp_path):
-    # the chain's quadrature uses 2N+8 = 1032 Gauss nodes here, where bare
-    # Hermite polynomials overflow
+    # 513 Hermite levels, where bare Hermite polynomials on a Gauss grid
+    # would overflow; the chain's pairings need no Hermite values
     out = str(tmp_path / "e512.csv")
     code = main(["expand", "--gamma", "1", "--n-hermite", "512", "--order", "9",
                  "--count", "2", "--max", "0.2", "--out", out])
@@ -192,15 +192,19 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("transport", {"potential": {"L": 1.0, "cos": 5}}),
     ("expand", {"order": "nine"}),
     ("expand", {"orders": 5}),
+    ("expand", {"order": 0}),
+    ("expand", {"orders": [-1, 0, 1]}),
     ("mc", {"mc": {"n_traj": "many"}}),
     ("mc", {"mc": dict(_MC_SMALL, seed=[1])}),
     ("mc", {"mc": dict(_MC_SMALL, n_traj=1)}),
     ("mc", {"mc": dict(_MC_SMALL, dt=-0.01)}),
     ("mc", {"mc": dict(_MC_SMALL, n_burnin=200)}),
+    ("mc", {"mc": dict(_MC_SMALL, seed=-1)}),
     ("overdamped", {"trunc": {"n_fourier": "x"}}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
-        "order", "orders", "mc-n-traj",
+        "order", "orders", "order-zero", "orders-below-one", "mc-n-traj",
         "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in",
+        "mc-negative-seed",
         "overdamped-n-fourier"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"

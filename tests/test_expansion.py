@@ -6,15 +6,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import HermiteFourierField, TruncationSpec, apply_lower, apply_raise
-from washboard.expansion import (EquilibriumPoissonSolver, _mean_functional,
+from washboard.basis import (HermiteFourierField, TruncationSpec, apply_lower,
+                             apply_raise, gibbs_gram)
+from washboard.expansion import (EquilibriumPoissonSolver,
                                  assemble_generator, build_chain,
                                  diffusion_coefficients, partial_sum_D,
                                  partial_sum_U, series_radius_estimate,
                                  velocity_coefficient)
 from washboard.transport import SolverError, hierarchy_blocks, solve_transport
 
-from packed_reference import reference_dq_matrix, reference_mult_matrix
+from packed_reference import (GibbsTensorQuadrature, reference_dq_matrix,
+                              reference_mult_matrix)
 
 
 def _params(gamma=1.0, beta=5.0, v0=1.0, period=1.0):
@@ -136,10 +138,13 @@ def test_generator_drops_cancelled_entries(adjoint):
 @pytest.mark.parametrize("potential,n_fourier", [
     (PeriodicPotential.cosine(1.0, 1.0), 24),
     (_MIXED, 6),
+    (PeriodicPotential.cosine(np.pi ** 2 / 16.0, 2.0 * np.pi), 24),   # fig1's
 ])
 def test_mean_functional_matches_hand_packing(potential, n_fourier):
-    # the functional as first written: the Gibbs weight's rfft packed slot by
-    # slot, weighted 1 on the mean and 2 on every other slot
+    # the border row <., 1>_beta as first written: the Gibbs weight's rfft
+    # packed slot by slot, weighted 1 on the mean and 2 on every other slot;
+    # it is the Gibbs Gram matrix's column 0 on level 0, bit for bit, and
+    # the Gram matrix is exactly symmetric
     params = ModelParams(gamma=1.0, beta=5.0, force=0.0, potential=potential)
     trunc = TruncationSpec(4, n_fourier)
     L, M = potential.period, n_fourier
@@ -150,26 +155,33 @@ def test_mean_functional_matches_hand_packing(potential, n_fourier):
     xw[0] = ck[0].real
     xw[1 : M + 1] = ck[1 : M + 1].real
     xw[M + 1 :] = ck[1 : M + 1].imag
-    ref = np.zeros((trunc.n_hermite + 1) * (2 * M + 1))
-    ref[: 2 * M + 1] = 2.0 * L * xw
+    ref = 2.0 * L * xw
     ref[0] = L * xw[0]
-    assert np.array_equal(_mean_functional(params, trunc), ref)
+    gram = gibbs_gram(params, M)
+    assert np.array_equal(gram[:, 0], ref)
+    assert np.array_equal(gram, gram.T)
+    solver = EquilibriumPoissonSolver(params, trunc)
+    assert np.array_equal(solver.gram, gram)
+    field = HermiteFourierField(np.eye(trunc.n_hermite + 1, 2 * M + 1), L, 5.0)
+    assert solver.mean(field) == ref[0]
 
 
 def test_chain_bits_at_gamma1_n64():
-    # V_j and the phi-form at gamma=1, beta=5, V0=1, L=1, N=64, M=24, order 9,
-    # as the block-by-block assembly gave them (float.hex, OpenBLAS on x86-64)
+    # V_j = <p, f_j> and the phi-form beta <p, phi_{j-1}> at gamma=1, beta=5,
+    # V0=1, L=1, N=64, M=24, order 9, read out through the Gibbs Gram matrix
+    # from f_j solves bit-identical to the block-by-block assembly's
+    # (float.hex, OpenBLAS on x86-64)
     chain = build_chain(_params(), TruncationSpec(64, 24), 9)
-    v = ["0x0.0p+0", "0x1.ec6e526ee03c5p-13", "0x1.8400000000000p-59",
-         "0x1.51a14e98d9af5p-12", "-0x1.2c00000000000p-60",
-         "0x1.8da6bfe064f72p-13", "-0x1.e000000000000p-63",
-         "0x1.4c8fa926e4bfcp-14", "0x1.6800000000000p-61",
-         "0x1.c19e1de2a98b4p-16"]
-    v_phi = ["0x0.0p+0", "0x1.ec6e526edff28p-13", "-0x1.4000000000000p-57",
-             "0x1.51a14e98d9b04p-12", "-0x1.4000000000000p-59",
-             "0x1.8da6bfe06586ap-13", "-0x1.1800000000000p-60",
-             "0x1.4c8fa926e4b77p-14", "-0x1.6800000000000p-62",
-             "0x1.c19e1de2a7935p-16"]
+    v = ["0x0.0p+0", "0x1.ec6e526edfed5p-13", "-0x1.eab061790872dp-66",
+         "0x1.51a14e98d9d1dp-12", "-0x1.56b7b302acaabp-65",
+         "0x1.8da6bfe0657b6p-13", "-0x1.9f7f39baf2377p-66",
+         "0x1.4c8fa926e4a36p-14", "-0x1.65a3fb6d7544cp-67",
+         "0x1.c19e1de2a9845p-16"]
+    v_phi = ["0x0.0p+0", "0x1.ec6e526edff80p-13", "0x1.36baab6722d1ap-61",
+             "0x1.51a14e98d9b4ep-12", "0x1.3ee72bc42f9e4p-62",
+             "0x1.8da6bfe0658bap-13", "0x1.117ab1002c861p-63",
+             "0x1.4c8fa926e4bc6p-14", "0x1.63145d3ff8557p-65",
+             "0x1.c19e1de2a7867p-16"]
     assert [x.hex() for x in chain.v.tolist()] == v
     assert [x.hex() for x in chain.v_phi_form.tolist()] == v_phi
 
@@ -236,8 +248,9 @@ def test_adjoint_solve_is_momentum_flip_conjugate():
     trunc = TruncationSpec(24, 8)
     chain = build_chain(params, trunc, 3)
     A = _block_generator(params, trunc, adjoint=True)
-    t = _mean_functional(params, trunc)
     n = A.shape[0]
+    t = np.zeros(n)
+    t[: 2 * trunc.n_fourier + 1] = gibbs_gram(params, trunc.n_fourier)[:, 0]
     e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, 1))
     bordered = sp.bmat([[A, e0], [sp.csr_matrix(t[None, :]), None]], format="csc")
     f = chain.fs[0]
@@ -412,14 +425,15 @@ def test_partial_sum_d_modes(chain151):
 
 def test_second_order_d_matches_direct_integrals(chain151):
     # F^2 truncation of the full series against its defining integrals
+    # (the integrals by the brute tensor quadrature, not the chain's pairing)
     chain = chain151
     table = diffusion_coefficients(chain)
-    grid = chain.grid
+    ref = GibbsTensorQuadrature(chain.params, n_p=chain.trunc.n_hermite + 8, n_q=256)
     beta = 5.0
-    pvals = grid.p[:, None] * np.ones((1, grid.q.size))
-    i1 = grid.integrate(pvals * grid.values(chain.phis[0]) * grid.values(chain.fs[1]))
-    i2a = grid.integrate(pvals * grid.values(chain.phis[1]) * grid.values(chain.fs[1]))
-    i2b = grid.integrate(pvals * grid.values(chain.phis[0]) * grid.values(chain.fs[2]))
+    pvals = ref.p[:, None]
+    i1 = ref.integrate(pvals * ref.values(chain.phis[0]) * ref.values(chain.fs[1]))
+    i2a = ref.integrate(pvals * ref.values(chain.phis[1]) * ref.values(chain.fs[1]))
+    i2b = ref.integrate(pvals * ref.values(chain.phis[0]) * ref.values(chain.fs[2]))
     for F in (0.2, 0.7):
         direct = (chain.v[1] / beta
                   + F * (chain.v[2] / beta + i1)

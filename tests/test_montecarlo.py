@@ -30,6 +30,8 @@ def test_config_validation():
         McConfig(dt=0.01, n_steps=10, n_burnin=10, n_traj=10, seed=0, params=params)
     with pytest.raises(ValueError):
         McConfig(dt=0.01, n_steps=100, n_burnin=10, n_traj=1, seed=0, params=params)
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(dt=0.01, n_steps=100, n_burnin=10, n_traj=10, seed=-1, params=params)
 
 
 def test_bit_reproducibility():

@@ -1,4 +1,7 @@
 import importlib
+import importlib.util
+import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -14,3 +17,31 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def _load_spans():
+    # the traced benchmark's span recorder imports only the standard library
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_benchmark_targets_resolve():
+    # spans.install patches every target by name and raises AttributeError on
+    # a missing one, which breaks every traced benchmark run
+    spans = _load_spans()
+    assert spans.TARGETS
+    for mod_name, attr, _, _ in spans.TARGETS:
+        obj = importlib.import_module(f"washboard.{mod_name}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"washboard.{mod_name}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj)
+
+
+def test_run_sweep_takes_three_positional_arguments():
+    # the traced run_sweep forwards (point_fn, values, workers) positionally
+    from washboard import cli
+    inspect.signature(cli.run_sweep).bind(lambda v: {}, [0.0], 1)
