@@ -11,7 +11,7 @@ overdamped-limit quadrature oracles and Euler-Maruyama ensembles.
 from .model import (ModelParams, PeriodicPotential, ReferenceScales,
                     effective_potential, reference_scales)
 from .basis import (FourierVector, HermiteFourierField, TruncationSpec,
-                    apply_lower, apply_momentum, apply_raise, hermite_eval)
+                    apply_lower, apply_momentum, apply_raise)
 from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
                         TransportResult, compute_diffusion, displaced_blocks,
                         factor_hierarchy, hierarchy_blocks, solve_cell_problem,
@@ -31,7 +31,6 @@ __all__ = [
     "effective_potential", "reference_scales",
     "FourierVector", "HermiteFourierField", "TruncationSpec",
     "apply_lower", "apply_momentum", "apply_raise",
-    "hermite_eval",
     "HierarchyBlocks", "HierarchyFactors", "StationaryDensity", "TransportResult",
     "compute_diffusion", "displaced_blocks", "factor_hierarchy", "hierarchy_blocks",
     "solve_cell_problem", "solve_stationary_fp", "solve_transport",

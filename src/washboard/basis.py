@@ -42,7 +42,6 @@ __all__ = [
     "TruncationSpec",
     "FourierVector",
     "HermiteFourierField",
-    "hermite_eval",
     "hermite_table",
     "apply_raise",
     "apply_lower",
@@ -113,15 +112,6 @@ def hermite_table(n_max: int, x) -> np.ndarray:
     for n in range(1, n_max):
         T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
     return T.T
-
-
-def hermite_eval(n: int, p, beta: float):
-    """Rescaled Hermite polynomial H_n(p) = He_n(p sqrt(beta)) / sqrt(n!)."""
-    if n < 0:
-        raise ValueError("hermite level must be >= 0")
-    x = np.asarray(p, dtype=float) * np.sqrt(beta)
-    vals = hermite_table(n, np.atleast_1d(x))[:, n]
-    return vals.reshape(np.shape(x)) if np.ndim(p) else float(vals[0])
 
 
 def gauss_maxwell_nodes(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -351,9 +351,9 @@ def cmd_expand(cfg: dict, out: str) -> int:
     if not isinstance(orders, list):
         raise ConfigError(f"orders must be a list of integers, got {orders!r}")
     orders = [_number(int, o, "orders entry") for o in orders]
-    if min(orders) < 1:
-        raise ConfigError(f"orders entries must be >= 1, got {orders}")
-    orders = [o for o in orders if o <= order]
+    if min(orders) < 1 or max(orders) > order:
+        raise ConfigError(f"orders entries must be in 1..{order} (the order), "
+                          f"got {orders}")
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")

@@ -14,29 +14,29 @@ The l = 0 diffusion term V_1/beta is the fluctuation-dissipation value; the
 Sigma/Xi columns quantify how the naive extension D_l = (l+1) V_{l+1}/beta,
 the F^l coefficient of (1/beta) dU/dF, fails beyond linear response.
 
-Each Poisson problem is solved as one sparse block-tridiagonal system over all
-Hermite levels, bordered by the mean-zero constraint row (the right-hand sides
-here populate every level, so the level-recursion shortcut used by the
-nonperturbative solver buys nothing).  Both chains share one factorization:
+Row n of the nonperturbative solver's cell hierarchy is -sqrt(beta) times
+row n of -L0, so each Poisson problem -L0 psi = u is one
+:func:`~washboard.transport.solve_levels` with right-hand side -sqrt(beta) u
+on :func:`~washboard.transport.factor_hierarchy` at F = 0; the mean
+<psi, 1>_beta = 0 fixes the constant it leaves free.  Both chains share one
+factorization:
 the adjoint is the momentum-flip conjugate -Lhat0 = J (-L0) J with
-J = diag((-1)^m) over the Hermite levels, and J fixes level 0, where the
-border row and column live.
+J = diag((-1)^m) over the Hermite levels.
 
 Every integral against the equilibrium density is one pairing
 <g, h>_beta = sum_n g_n . G h_n through the Gibbs Gram matrix G of
 :func:`~washboard.basis.gibbs_gram`: V_j = <p, f_j>, its phi-form
 beta <p, phi_{j-1}>, the side conditions <f_r, phi_{j-r}>,
 Sigma_nl = <p phi_{l-n}, f_n> and Xi_nl = <phi_{l-n}, a- f_n>/beta; the
-border row <psi, 1>_beta is G's column 0 on level 0.
+mean <psi, 1>_beta is G's column 0 on level 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import ModelParams
 from .basis import (
@@ -48,7 +48,8 @@ from .basis import (
     gibbs_gram,
     gibbs_inner,
 )
-from .transport import SolverError, hierarchy_blocks
+from .transport import (SolverError, _level_ratios, factor_hierarchy,
+                        hierarchy_blocks, solve_levels)
 
 __all__ = [
     "EquilibriumChain",
@@ -80,15 +81,15 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec) -> sp.csr_mat
         diagonal        gamma m I
         super-diagonal  -sqrt((m+1)/beta) d_q - sqrt(beta (m+1)) T
 
-    All levels are assembled in one COO pass.  The stored structure is part of
-    the contract, because splu's COLAMD ordering depends on which entries are
-    stored: every diagonal entry is stored, level 0's zeros included, and an
-    off-diagonal entry is stored exactly when its value is nonzero, so a
-    super-diagonal entry whose two terms cancel is not.  Each value is the
-    same floating-point expression, evaluated in the same order, as in a
-    block-by-block build, so ``indptr``, ``indices`` and ``data`` equal that
-    build's bit for bit (for finite level factors, i.e. beta (N+1) below
-    the float range).
+    No solver uses it: it is the assembled reference the level recursion of
+    :mod:`~washboard.transport` is checked against.  All levels are
+    assembled in one COO pass.  Every diagonal entry is stored, level 0's
+    zeros included, and an off-diagonal entry is stored exactly when its
+    value is nonzero, so a super-diagonal entry whose two terms cancel is
+    not.  Each value is the same floating-point expression, evaluated in the
+    same order, as in a block-by-block build, so ``indptr``, ``indices`` and
+    ``data`` equal that build's bit for bit (for finite level factors, i.e.
+    beta (N+1) below the float range).
     """
     blocks = hierarchy_blocks(params, trunc)
     N, size = trunc.n_hermite, blocks.size
@@ -122,13 +123,12 @@ _SOLVABILITY_TOL = 1e-9
 
 
 class EquilibriumPoissonSolver:
-    """Factorized bordered solver for -L0 psi = u.
+    """Solver for -L0 psi = u with <psi, 1>_beta = 0, reusing one factorization.
 
-    The border row enforces <psi, 1>_beta = 0: it is column 0 of the Gibbs
-    Gram matrix ``gram`` (:func:`~washboard.basis.gibbs_gram`) on level 0.
-    The border column absorbs the (spectrally small) discrete solvability
-    defect, returned as ``lam``.  The factorization is reused across
-    right-hand sides.
+    The bottom block's left null vector is column 0 of the Gibbs Gram matrix
+    ``gram`` (:func:`~washboard.basis.gibbs_gram`); its coefficient absorbs
+    the (spectrally small) discrete solvability defect and is returned as
+    ``lam``.  A shift of psi_0^0 then fixes the mean.
     """
 
     def __init__(self, params: ModelParams, trunc: TruncationSpec):
@@ -136,45 +136,41 @@ class EquilibriumPoissonSolver:
             raise ValueError("equilibrium Poisson solver requires force = 0")
         self.params = params
         self.trunc = trunc
-        A = assemble_generator(params, trunc)
-        n = A.shape[0]
         self.gram = gibbs_gram(params, trunc.n_fourier)
-        t = np.zeros(n)
-        t[: self.gram.shape[0]] = self.gram[:, 0]
-        e0 = sp.csc_matrix((np.ones(1), (np.zeros(1, int), np.zeros(1, int))), shape=(n, 1))
-        bordered = sp.bmat([[A, e0], [sp.csr_matrix(t[None, :]), sp.csr_matrix((1, 1))]],
-                           format="csc")
-        try:
-            self._lu = spla.splu(bordered)
-        except RuntimeError as exc:
-            raise SolverError("bordered equilibrium operator is singular") from exc
-        self._A = A.tocsr()
-        self._t = t
-        self._n = n
-        self._shape = (trunc.n_hermite + 1, 2 * trunc.n_fourier + 1)
+        # nothing above level N, as in the assembled -L, whatever trunc.closure
+        self._factors = factor_hierarchy(params, replace(trunc, closure="dirichlet"))
 
     def mean(self, v: HermiteFourierField) -> float:
-        """<v, 1>_beta from the constraint functional (exact in the basis)."""
-        return float(self._t @ v.coeffs.reshape(-1))
+        """<v, 1>_beta from the Gram matrix's column 0 (exact in the basis)."""
+        return float(self.gram[:, 0] @ v.coeffs[0])
 
     def solve(self, rhs: HermiteFourierField) -> tuple[HermiteFourierField, float, float]:
         """Mean-zero solution psi plus (lam, residual) diagnostics.
 
-        Raises if the right-hand side violates the solvability condition
-        <1, rhs>_beta = 0 beyond ``_SOLVABILITY_TOL`` (relative to its size).
+        ``residual`` is the largest entry of -L0 psi - u, from the hierarchy
+        rows.  Raises if the right-hand side violates the solvability
+        condition <1, rhs>_beta = 0 beyond ``_SOLVABILITY_TOL`` (relative to
+        its size).
         """
-        flat = rhs.coeffs.reshape(-1)
-        scale = max(float(np.abs(flat).max()), 1e-300)
-        defect = abs(float(self._t @ flat))
-        if defect > _SOLVABILITY_TOL * max(scale, 1.0):
+        defect = abs(self.mean(rhs))
+        if defect > _SOLVABILITY_TOL * max(float(np.abs(rhs.coeffs).max()), 1.0):
             raise SolverError(
                 f"right-hand side violates solvability: <1, rhs> = {defect:.3e}"
             )
-        x = self._lu.solve(np.concatenate([flat, [0.0]]))
-        psi, lam = x[: self._n], float(x[self._n])
-        residual = float(np.abs(self._A @ psi - flat).max())
-        fld = HermiteFourierField(psi.reshape(self._shape),
-                                  self.params.potential.period, self.params.beta)
+        t = self.gram[:, 0]
+        r = -np.sqrt(self.params.beta) * rhs.coeffs
+        psi, lam, _ = solve_levels(self._factors, r, t)
+        psi[0, 0] -= (t @ psi[0]) / t[0]
+
+        # hierarchy row n minus r_n: sqrt(n) d_q psi_{n-1} - gamma sqrt(beta) n
+        # psi_n + sqrt(n+1) drift psi_{n+1} - r_n, nothing above level N
+        blocks = self._factors.blocks
+        m = np.arange(psi.shape[0])[:, None]
+        rows = -blocks.friction * m * psi - r
+        rows[1:] += np.sqrt(m[1:]) * (psi[:-1] @ blocks.d_q.T)
+        rows[:-1] += np.sqrt(m[1:]) * (psi[1:] @ blocks.drift.T)
+        residual = float(np.abs(rows).max()) / np.sqrt(self.params.beta)
+        fld = HermiteFourierField(psi, self.params.potential.period, self.params.beta)
         return fld, lam, residual
 
 
@@ -192,7 +188,10 @@ def _flip_momentum(field: HermiteFourierField) -> HermiteFourierField:
 class EquilibriumChain:
     """Solutions f_0..f_K and phi_0..phi_{K-1} of the equilibrium chain,
     the drift coefficients V_1..V_K, and the Gibbs Gram matrix every pairing
-    of the chain's fields goes through."""
+    of the chain's fields goes through.  ``diagnostics`` holds, per field,
+    the solve's ``lambda``, ``residual`` and ``top_level_ratio``
+    (max |level N| / max |solution|), and the phi right-hand sides'
+    ``solvability``."""
 
     params: ModelParams
     trunc: TruncationSpec
@@ -237,38 +236,36 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     gram = solver.gram
     p_field = HermiteFourierField.momentum(N, M, L, beta)
 
-    lams: dict[str, float] = {}
-    residuals: dict[str, float] = {}
-    solvability: dict[str, float] = {}
+    diagnostics = {"lambda": {}, "residual": {}, "solvability": {}, "top_level_ratio": {}}
+
+    def solve(name: str, rhs: HermiteFourierField) -> HermiteFourierField:
+        psi, lam, res = solver.solve(rhs)
+        diagnostics["lambda"][name] = lam
+        diagnostics["residual"][name] = res
+        diagnostics["top_level_ratio"][name] = float(_level_ratios(psi.coeffs)[-1])
+        return psi
 
     fs = [HermiteFourierField.constant(1.0, N, M, L, beta)]
     for j in range(1, order + 1):
         rhs = apply_raise(fs[j - 1])
         try:
-            f, lam, res = solver.solve(_flip_momentum(rhs))
+            fs.append(_flip_momentum(solve(f"f{j}", _flip_momentum(rhs))))
         except SolverError as exc:
             raise SolverError(f"f-chain solve failed at j={j}: {exc}") from exc
-        fs.append(_flip_momentum(f))
-        lams[f"f{j}"] = lam
-        residuals[f"f{j}"] = res
 
     v = np.zeros(order + 1)
     for j in range(1, order + 1):
         v[j] = gibbs_inner(gram, p_field, fs[j])
 
-    phis = []
-    phi0, lam, res = solver.solve(p_field)
-    phis.append(phi0)
-    lams["phi0"] = lam
-    residuals["phi0"] = res
+    phis = [solve("phi0", p_field)]
     for j in range(1, order):
         lowered = apply_lower(phis[j - 1])
         mean_lowered = solver.mean(lowered)
-        solvability[f"phi{j}"] = abs(mean_lowered - v[j])
+        diagnostics["solvability"][f"phi{j}"] = abs(mean_lowered - v[j])
         rhs = lowered.plus(
             HermiteFourierField.constant(-v[j], N, M, L, beta))
         try:
-            phi, lam, res = solver.solve(rhs)
+            phi = solve(f"phi{j}", rhs)
         except SolverError as exc:
             raise SolverError(
                 f"phi-chain solvability failed at j={j}: "
@@ -278,8 +275,6 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
         coeffs = phi.coeffs.copy()
         coeffs[0, 0] += target
         phis.append(phi.with_coeffs(coeffs))
-        lams[f"phi{j}"] = lam
-        residuals[f"phi{j}"] = res
 
     v_phi = np.zeros(order + 1)
     for j in range(1, min(order, len(phis)) + 1):
@@ -287,7 +282,6 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
 
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(v_phi))):
         raise SolverError("non-finite drift coefficient in the equilibrium chain")
-    diagnostics = {"lambda": lams, "residual": residuals, "solvability": solvability}
     return EquilibriumChain(
         params=params, trunc=trunc, order=order,
         fs=tuple(fs), phis=tuple(phis), v=v, v_phi_form=v_phi,

@@ -31,12 +31,14 @@ hierarchy in the packed metric W = diag(1, 2, .., 2) of (1/L) int f g dq
 (d_q is skew in W, so the shift sqrt(beta) p0 d_q is its own negative
 adjoint).  Its Schur complements are therefore -W^{-1} G_n^T W, and the same
 inverses, applied transposed, give the density level by level.  One factorization per
-truncation serves both problems.  The drift is read off the stationary
+truncation serves the density, the cell problem and, at F = 0, the tilt-series
+chain of :mod:`washboard.expansion` (row n of the cell hierarchy is
+-sqrt(beta) times row n of -L).  The drift is read off the stationary
 density, the diffusion coefficient from pairing the density with the cell
 solution, cross-checked against the gradient-squared form.  The singular
 level-0 block left by the elimination has the exact kernels e0 (right) and
-W R_0 (left); the cell solve uses them directly, and flags a failed truncation
-by a LAPACK reciprocal condition estimate below 1e-10.
+W R_0 (left); :func:`solve_levels` uses them directly, and flags a failed
+truncation by a LAPACK reciprocal condition estimate below 1e-10.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "hierarchy_blocks",
     "displaced_blocks",
     "factor_hierarchy",
+    "solve_levels",
     "solve_stationary_fp",
     "solve_cell_problem",
     "compute_diffusion",
@@ -333,12 +336,9 @@ def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
     """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
 
     The coefficients are in the basis of ``density``, centred at
-    p0 = F/gamma, where p - U = (p0 - U) + H_1(p - p0) / sqrt(beta).  The
-    bottom block satisfies  Q_0^- S_0 Phi_0 = B - Q_0^- G_1^{-1} A,  with
-    right null vector e0 and left null vector W R_0.  Phi_0 with Phi_0^0 = 0
-    solves it with W R_0 in place of column 0 (a reciprocal condition number
-    below 1e-10 raises SolverError), the levels above follow with one
-    right-hand side, and the discretized centering condition
+    p0 = F/gamma, where p - U = (p0 - U) + H_1(p - p0) / sqrt(beta).
+    :func:`solve_levels` solves the hierarchy with left null vector W R_0,
+    and the discretized centering condition
     sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0  then fixes Phi_0^0.  The factors
     come from ``density``, which must be solved for the same params and
     truncation.
@@ -355,28 +355,48 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
         raise ValueError("density was solved for other params")
     factors = density.factors
     blocks = factors.blocks
-    N = trunc.n_hermite
-    L = params.potential.period
-    beta = params.beta
     R = density.field.coeffs
 
-    # rhs_0 = B - Q_0^- G_1^{-1} A with B = sqrt(beta) (U - p0) e0 on row 0,
-    # A = -e0 on row 1 and Q_0^- = drift
-    rhs0 = blocks.drift @ factors.inverses[1][:, 0]
-    rhs0[0] += np.sqrt(beta) * (density.drift - blocks.p0)
-
-    left_null = blocks.metric * R[0]
+    rhs = np.zeros((2, blocks.size))     # sqrt(beta) (U - p0) e0 and -e0
+    rhs[:, 0] = np.sqrt(params.beta) * (density.drift - blocks.p0), -1.0
+    levels, _, defect = solve_levels(factors, rhs, blocks.metric * R[0])
     # The left-null component must vanish in exact arithmetic; the solve
-    # below absorbs it, so a small defect (roundoff amplified by the
-    # recursion in the deep-underdamped transition region) is recorded rather
-    # than fatal.  A large one means the truncation genuinely failed.
-    defect = abs(float(left_null @ rhs0))
-    rhs_scale = max(float(np.linalg.norm(left_null) * np.linalg.norm(rhs0)), 1e-300)
-    if defect > 1e-3 * rhs_scale:
-        raise SolverError(
-            f"solvability violated: left-null component {defect:.3e} "
-            f"exceeds 1e-3 of |W R_0| |rhs| = {rhs_scale:.3e}"
-        )
+    # absorbs it, so a small defect (roundoff amplified by the recursion in
+    # the deep-underdamped transition region) is recorded rather than fatal.
+    # A large one means the truncation genuinely failed.
+    if defect > 1e-3:
+        raise SolverError(f"solvability violated: left-null component {defect:.3e} "
+                          "exceeds 1e-3 of |W R_0| |rhs|")
+    # centering: the null vector e0 pairs with R_0^0 alone
+    levels[0, 0] -= np.einsum("ns,ns->", R * blocks.metric, levels) / R[0, 0]
+    return (HermiteFourierField(levels, params.potential.period, params.beta, blocks.p0),
+            {"solvability_defect": defect})
+
+
+def solve_levels(factors: HierarchyFactors, rhs: np.ndarray, left_null: np.ndarray
+                 ) -> tuple[np.ndarray, float, float]:
+    """Solve the cell hierarchy for right-hand side levels 0..K-1, K <= N+1.
+
+    The down-sweep y_n = r_n - sqrt(n+1) drift G_{n+1}^{-1} y_{n+1} starts at
+    level K-1, the highest level ``rhs`` holds; the bottom block, with column 0
+    (its right null vector e0) replaced by its left null vector
+    ``left_null``, gives Phi_0 from y_0 (SolverError below a reciprocal
+    condition estimate of 1e-10); the up-sweep is
+    Phi_n = G_n^{-1} (y_n - sqrt(n) d_q Phi_{n-1}).  Returns the levels with
+    Phi_0^0 = 0, the coefficient of ``left_null`` and the solvability defect
+    |left_null . y_0| / (|left_null| |y_0|).
+    """
+    blocks = factors.blocks
+    N = factors.trunc.n_hermite
+    top = rhs.shape[0] - 1
+    y = np.array(rhs, dtype=float)
+    for n in range(top - 1, -1, -1):
+        t = blocks.drift @ factors.solve(n + 1, y[n + 1])
+        t *= -np.sqrt(n + 1)
+        y[n] += t
+
+    defect = abs(float(left_null @ y[0]))
+    scale = max(float(np.linalg.norm(left_null) * np.linalg.norm(y[0])), 1e-300)
     K = factors.bottom.copy()
     K[:, 0] = left_null
     lu, piv, info = dgetrf(K)
@@ -386,21 +406,17 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
         raise SolverError(f"cell bottom block is ill-conditioned (rcond {rcond:.2e}); "
                           "truncation failure")
 
-    # Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}) level by level, rhs_1 = A
     levels = np.empty((N + 1, blocks.size))
-    levels[0] = dgetrs(lu, piv, rhs0)[0]
+    levels[0] = dgetrs(lu, piv, y[0])[0]
+    coefficient = float(levels[0, 0])
     levels[0, 0] = 0.0
     for n in range(1, N + 1):
         b = blocks.d_q @ levels[n - 1]
         b *= -np.sqrt(n)
-        if n == 1:
-            b[0] -= 1.0
+        if n <= top:
+            b += y[n]
         levels[n] = factors.solve(n, b)
-    # centering: the null vector e0 pairs with R_0^0 alone
-    levels[0, 0] -= np.einsum("ns,ns->", R * blocks.metric, levels) / R[0, 0]
-
-    diag = {"solvability_defect": defect / rhs_scale}
-    return HermiteFourierField(levels, L, beta, blocks.p0), diag
+    return levels, coefficient, defect / scale
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from washboard.basis import (FourierVector, HermiteFourierField,
                              TruncationSpec, apply_lower, apply_momentum,
                              apply_q_derivative, apply_raise, fourier_table,
                              gauss_maxwell_nodes, gibbs_gram, gibbs_inner,
-                             hermite_eval, pack_complex, packed_dq_matrix,
+                             hermite_table, pack_complex, packed_dq_matrix,
                              packed_metric, packed_mult_matrix, unpack_complex)
 
 from packed_reference import (GibbsTensorQuadrature, reference_dq_matrix,
@@ -31,10 +31,18 @@ def _params(v0=1.0, beta=2.0, period=1.0, gamma=1.0, force=0.0):
 # Hermite polynomials
 # ---------------------------------------------------------------------------
 
-def test_hermite_eval_values():
-    assert hermite_eval(0, 3.7, 2.0) == pytest.approx(1.0)
-    assert hermite_eval(1, 1.0, 4.0) == pytest.approx(2.0)
-    assert hermite_eval(2, 0.0, 1.0) == pytest.approx(-1.0 / np.sqrt(2.0))
+def _hermite(n, p, beta):
+    """H_n(p) = He_n(p sqrt(beta)) / sqrt(n!) at the points p."""
+    return hermite_table(n, np.asarray(p) * np.sqrt(beta))[:, n]
+
+
+def test_hermite_table_values():
+    assert _hermite(0, 3.7, 2.0) == pytest.approx([1.0])
+    assert _hermite(1, 1.0, 4.0) == pytest.approx([2.0])
+    assert _hermite(2, 0.0, 1.0) == pytest.approx([-1.0 / np.sqrt(2.0)])
+    # He_3(x) = x^3 - 3x
+    x = np.array([-1.5, 0.2, 2.0])
+    assert hermite_table(3, x)[:, 3] == pytest.approx((x ** 3 - 3 * x) / np.sqrt(6.0))
 
 
 def test_hermite_orthonormality_by_quadrature():
@@ -42,13 +50,8 @@ def test_hermite_orthonormality_by_quadrature():
     p, w = gauss_maxwell_nodes(40, beta)
     for n in range(0, 13, 3):
         for m in range(0, 13, 4):
-            val = np.sum(w * hermite_eval(n, p, beta) * hermite_eval(m, p, beta))
+            val = np.sum(w * _hermite(n, p, beta) * _hermite(m, p, beta))
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-13)
-
-
-def test_hermite_eval_rejects_negative():
-    with pytest.raises(ValueError):
-        hermite_eval(-1, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def test_field_evaluate_matches_contraction():
         for k in range(1, M + 1):
             lvl += 2 * (f.coeffs[n, k] * np.cos(k * w1 * q)
                         - f.coeffs[n, M + k] * np.sin(k * w1 * q))
-        total += lvl * hermite_eval(n, p, 3.0)
+        total += lvl * _hermite(n, p, 3.0)[0]
     assert f.evaluate(q, p) == pytest.approx(total, abs=1e-12)
 
 

@@ -194,6 +194,7 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("expand", {"orders": 5}),
     ("expand", {"order": 0}),
     ("expand", {"orders": [-1, 0, 1]}),
+    ("expand", {"order": 5, "orders": [20]}),
     ("mc", {"mc": {"n_traj": "many"}}),
     ("mc", {"mc": dict(_MC_SMALL, seed=[1])}),
     ("mc", {"mc": dict(_MC_SMALL, n_traj=1)}),
@@ -202,7 +203,8 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("mc", {"mc": dict(_MC_SMALL, seed=-1)}),
     ("overdamped", {"trunc": {"n_fourier": "x"}}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
-        "order", "orders", "order-zero", "orders-below-one", "mc-n-traj",
+        "order", "orders", "order-zero", "orders-below-one", "orders-above-order",
+        "mc-n-traj",
         "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in",
         "mc-negative-seed",
         "overdamped-n-fourier"])

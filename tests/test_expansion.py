@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import (HermiteFourierField, TruncationSpec, apply_lower,
-                             apply_raise, gibbs_gram)
+                             apply_raise, gibbs_gram, gibbs_inner)
 from washboard.expansion import (EquilibriumPoissonSolver,
                                  assemble_generator, build_chain,
                                  diffusion_coefficients, partial_sum_D,
@@ -169,19 +169,19 @@ def test_mean_functional_matches_hand_packing(potential, n_fourier):
 def test_chain_bits_at_gamma1_n64():
     # V_j = <p, f_j> and the phi-form beta <p, phi_{j-1}> at gamma=1, beta=5,
     # V0=1, L=1, N=64, M=24, order 9, read out through the Gibbs Gram matrix
-    # from f_j solves bit-identical to the block-by-block assembly's
+    # from f_j and phi_j solved on the level recursion of factor_hierarchy
     # (float.hex, OpenBLAS on x86-64)
     chain = build_chain(_params(), TruncationSpec(64, 24), 9)
-    v = ["0x0.0p+0", "0x1.ec6e526edfed5p-13", "-0x1.eab061790872dp-66",
-         "0x1.51a14e98d9d1dp-12", "-0x1.56b7b302acaabp-65",
-         "0x1.8da6bfe0657b6p-13", "-0x1.9f7f39baf2377p-66",
-         "0x1.4c8fa926e4a36p-14", "-0x1.65a3fb6d7544cp-67",
-         "0x1.c19e1de2a9845p-16"]
-    v_phi = ["0x0.0p+0", "0x1.ec6e526edff80p-13", "0x1.36baab6722d1ap-61",
-             "0x1.51a14e98d9b4ep-12", "0x1.3ee72bc42f9e4p-62",
-             "0x1.8da6bfe0658bap-13", "0x1.117ab1002c861p-63",
-             "0x1.4c8fa926e4bc6p-14", "0x1.63145d3ff8557p-65",
-             "0x1.c19e1de2a7867p-16"]
+    v = ["0x0.0p+0", "0x1.ec6e526ee0277p-13", "-0x1.eab061791150ap-66",
+         "0x1.51a14e98d781cp-12", "-0x1.56b7b302ae4e1p-65",
+         "0x1.8da6bfe05fd2cp-13", "-0x1.9f7f39baf2306p-66",
+         "0x1.4c8fa926e4729p-14", "-0x1.65a3fb6d759a6p-67",
+         "0x1.c19e1de2a4c15p-16"]
+    v_phi = ["0x0.0p+0", "0x1.ec6e526ee0fa0p-13", "0x1.36baab6722d26p-61",
+             "0x1.51a14e98d990ap-12", "0x1.40443e1561912p-62",
+             "0x1.8da6bfe065741p-13", "0x1.15643764cc9acp-63",
+             "0x1.4c8fa926e53b5p-14", "0x1.6cecf57639a81p-65",
+             "0x1.c19e1de2a7a1fp-16"]
     assert [x.hex() for x in chain.v.tolist()] == v
     assert [x.hex() for x in chain.v_phi_form.tolist()] == v_phi
 
@@ -240,25 +240,53 @@ def _solvable_rhs(solver):
     return HermiteFourierField(c, params.potential.period, params.beta)
 
 
-def test_adjoint_solve_is_momentum_flip_conjugate():
+@pytest.mark.parametrize("gamma,potential,trunc", [
+    (1.0, PeriodicPotential.cosine(0.8, 1.0), TruncationSpec(24, 8)),
+    (50.0, PeriodicPotential.cosine(0.8, 1.0), TruncationSpec(24, 8)),
+    # at M=8 the mixed potential's phi_2 right-hand side misses the
+    # solvability bar by 4e-4; at M=24 it meets it to 8e-12
+    (1.0, _MIXED, TruncationSpec(32, 24)),
+], ids=["gamma1", "gamma50", "mixed"])
+def test_adjoint_solve_is_momentum_flip_conjugate(gamma, potential, trunc):
     # the chain's f_j solve -Lhat0 through the p -> -p conjugate of the direct
-    # operator; check them against the block-built adjoint, bordered by the
-    # same mean functional and solved on its own
-    params = _params(beta=2.0, v0=0.8)
-    trunc = TruncationSpec(24, 8)
-    chain = build_chain(params, trunc, 3)
-    A = _block_generator(params, trunc, adjoint=True)
-    n = A.shape[0]
+    # operator, and its phi_j solve -L0, both on the level recursion; check
+    # them against the block-built operators, bordered by the same mean
+    # functional and solved on their own
+    params = ModelParams(gamma=gamma, beta=2.0, force=0.0, potential=potential)
+    order = 3
+    chain = build_chain(params, trunc, order)
+    gram = gibbs_gram(params, trunc.n_fourier)
+    shape = chain.fs[0].coeffs.shape
+    n = shape[0] * shape[1]
     t = np.zeros(n)
-    t[: 2 * trunc.n_fourier + 1] = gibbs_gram(params, trunc.n_fourier)[:, 0]
+    t[: shape[1]] = gram[:, 0]
     e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, 1))
-    bordered = sp.bmat([[A, e0], [sp.csr_matrix(t[None, :]), None]], format="csc")
-    f = chain.fs[0]
-    for j in range(1, 4):
-        rhs = apply_raise(f).coeffs.reshape(-1)
-        x = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
-        f = f.with_coeffs(x[:n].reshape(f.coeffs.shape))
-        assert chain.fs[j].coeffs == pytest.approx(f.coeffs, abs=1e-11)
+    border = sp.csr_matrix(t[None, :])
+
+    def solver(adjoint):
+        A = _block_generator(params, trunc, adjoint=adjoint)
+        bordered = sp.bmat([[A, e0], [border, None]], format="csc")
+        return lambda rhs: chain.fs[0].with_coeffs(spla.spsolve(
+            bordered, np.concatenate([rhs.coeffs.reshape(-1), [0.0]]))[:n].reshape(shape))
+
+    adjoint_solve, direct_solve = solver(True), solver(False)
+    fs = [chain.fs[0]]
+    for j in range(1, order + 1):
+        fs.append(adjoint_solve(apply_raise(fs[j - 1])))
+        assert chain.fs[j].coeffs == pytest.approx(fs[j].coeffs, abs=1e-11)
+    p = HermiteFourierField.momentum(trunc.n_hermite, trunc.n_fourier,
+                                     potential.period, params.beta)
+    v = [0.0] + [gibbs_inner(gram, p, f) for f in fs[1:]]
+    phis = [direct_solve(p)]
+    for j in range(1, order):
+        c = apply_lower(phis[j - 1]).coeffs.copy()
+        c[0, 0] -= v[j]
+        phi = direct_solve(chain.fs[0].with_coeffs(c))
+        c = phi.coeffs.copy()
+        c[0, 0] -= sum(gibbs_inner(gram, fs[r], phis[j - r]) for r in range(1, j + 1))
+        phis.append(phi.with_coeffs(c))
+    for j in range(order):
+        assert chain.phis[j].coeffs == pytest.approx(phis[j].coeffs, abs=1e-11)
 
 
 def test_adjoint_solve_is_q_flip_conjugate_for_symmetric_v():
@@ -310,6 +338,16 @@ def test_chain_solve_quality(chain151):
     assert max(abs(v) for v in d["lambda"].values()) < 1e-10
     assert max(d["residual"].values()) < 1e-8
     assert max(d["solvability"].values()) < 1e-7
+
+
+@pytest.mark.parametrize("gamma,lo,hi", [(1.0, 1e-4, 1.0), (50.0, 0.0, 1e-8)])
+def test_chain_reports_top_level_ratios(gamma, lo, hi):
+    # the chain runs at the truncation it is given: at gamma=1, N=64 its top
+    # levels are not resolved (2.2e-3), at gamma=50 they are (1e-50)
+    chain = build_chain(_params(gamma=gamma), TruncationSpec(64, 24), 9)
+    ratios = chain.diagnostics["top_level_ratio"]
+    assert set(ratios) == {f"f{j}" for j in range(1, 10)} | {f"phi{j}" for j in range(9)}
+    assert lo < max(ratios.values()) <= hi
 
 
 def test_chain_f1_parity(chain151):

@@ -1,8 +1,11 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,17 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def test_import_loads_no_sparse_solver():
+    # every -L solve goes through transport's level recursion; a second
+    # solver built on scipy.sparse.linalg would show up here
+    code = ("import sys, washboard, washboard.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    env_path = str(pathlib.Path(washboard.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": env_path})
+    assert out.stdout.strip() == "False"
 
 
 def _load_spans():
