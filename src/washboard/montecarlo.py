@@ -15,20 +15,46 @@ and estimates
 from the post-burn-in displacement.  Every trajectory owns a counter-based
 random stream keyed by (seed, k), so results are bit-reproducible and
 independent of batching.
+
+Who draws the noise.  The caller draws the initial conditions, then forks
+one helper process that owns the streams from there on and fills the path
+noise chunk by chunk, while the caller steps through the chunk before.  The
+two chunks live in an anonymous shared ``mmap`` and are handed over through
+a pipe each way; their 2 x ``_CHUNK`` steps take the memory one chunk of
+twice that length used to.  On one thread, a force of the ``mc`` benchmark
+workload (500 trajectories x 5e4 steps, 2-core Xeon) spends 0.30 s on
+Philox fills, 0.04 s on the transposed scaling and 0.48 s on the step
+arithmetic; with the helper only the last blocks.  It is a process and not
+a thread because the step loop's ufuncs on a few hundred trajectories never
+release the GIL: a thread producer made the workload slower (2.55 s
+against 2.40 s on one thread), the helper faster (1.45 s).  The helper
+fills exactly as the caller would, so results are the same bits with or
+without it; where ``os.fork`` does not exist the caller fills each chunk
+itself.  Python 3.12 and later warn when a process with threads forks, and
+OpenBLAS starts threads at import; that warning was not seen, as only
+Python 3.11 was tried.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["McConfig", "McEstimate", "simulate", "estimate_with_error_target"]
+__all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate",
+           "estimate_with_error_target"]
 
-_CHUNK = 1024   # steps of noise drawn at a time; no effect on results
+# Steps of noise per chunk; the helper fills one chunk while the step loop
+# reads the other, so the two hold what one chunk of 1024 steps did.  No
+# effect on results.
+_CHUNK = 512
 _BLOCK = 64     # trajectories per block of the noise transpose; no effect either
 
 
@@ -77,12 +103,98 @@ def _streams(seed: int, n_traj: int) -> list[np.random.Generator]:
     ]
 
 
+class NoiseHelperError(RuntimeError):
+    """The process filling the path noise ended before its last chunk."""
+
+
+def _fill(gens: list[np.random.Generator], noise: np.ndarray, draws: np.ndarray,
+          noise_amp: float) -> None:
+    """Fill ``noise`` (steps x trajectories) with every stream's next kicks.
+
+    Each stream draws its steps in one call into a row of ``draws``; a block
+    of rows is then scaled and transposed into step-major order.
+    """
+    span, n = noise.shape
+    for k0 in range(0, n, _BLOCK):
+        block = draws[:min(_BLOCK, n - k0), :span]
+        for row, g in zip(block, gens[k0:k0 + _BLOCK]):
+            g.standard_normal(out=row)
+        np.multiply(block.T, noise_amp, out=noise[:, k0:k0 + _BLOCK])
+
+
+def _noise_chunks(gens: list[np.random.Generator], n_steps: int, noise_amp: float):
+    """Yield the path noise of ``n_steps`` steps in step-major chunks.
+
+    A chunk stays valid until the next one is asked for.  Close the generator
+    when done with it early: that stops the helper process.
+    """
+    n = len(gens)
+    spans = [min(_CHUNK, n_steps - s) for s in range(0, n_steps, _CHUNK)]
+    draws_shape = (min(_BLOCK, n), _CHUNK)
+    if not hasattr(os, "fork"):
+        noise, draws = np.empty((_CHUNK, n)), np.empty(draws_shape)
+        for span in spans:
+            _fill(gens, noise[:span], draws, noise_amp)
+            yield noise[:span]
+        return
+
+    slots = np.frombuffer(mmap.mmap(-1, 2 * _CHUNK * n * 8)).reshape(2, _CHUNK, n)
+    ready_r, ready_w = os.pipe()    # helper -> caller: chunk c is in slot c % 2
+    free_r, free_w = os.pipe()      # caller -> helper: that slot may be refilled
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        raise
+    if pid == 0:                    # the helper; it never returns
+        status = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            draws = np.empty(draws_shape)
+            for c, span in enumerate(spans):
+                if c >= 2 and not os.read(free_r, 1):
+                    break           # the caller has gone
+                _fill(gens, slots[c % 2, :span], draws, noise_amp)
+                os.write(ready_w, b"\0")
+            status = 0
+        except BaseException:
+            import sys
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+    # Without its own copy of ready_w, a helper's exit reads here as EOF.
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for c, span in enumerate(spans):
+            if not os.read(ready_r, 1):
+                raise NoiseHelperError(
+                    f"noise helper exited before chunk {c} of {len(spans)}")
+            yield slots[c % 2, :span]
+            if c + 2 < len(spans):
+                os.write(free_w, b"\0")
+    finally:
+        # After the last chunk the helper is exiting anyway; after an error it
+        # may be mid-fill, so it is stopped rather than waited for.
+        os.kill(pid, signal.SIGKILL)
+        os.close(ready_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
+
+
 def simulate(config: McConfig) -> McEstimate:
     """Run the ensemble and estimate (U, D) from endpoint displacements.
 
     Initial conditions are q ~ uniform[0, L), p ~ N(0, 1/beta), drawn from the
     per-trajectory streams before any path noise.  A non-finite state aborts
     with the offending trajectory index (the usual cause is dt too large).
+    ``NoiseHelperError`` means the process filling the noise died; its
+    traceback is on standard error.
     """
     params = config.params
     pot = params.potential
@@ -103,20 +215,13 @@ def simulate(config: McConfig) -> McEstimate:
     q_mark = np.empty(n)
     acc = np.empty(n)
     work = np.empty(n)
-    draws = np.empty((min(_BLOCK, n), _CHUNK))
-    noise = np.empty((_CHUNK, n))     # step-major: row t holds step t's kicks
     step = 0
     # A diverging path overflows mid-chunk; the check after the chunk names it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < config.n_steps:
-            span = min(_CHUNK, config.n_steps - step)
-            for k0 in range(0, n, _BLOCK):
-                block = draws[:min(_BLOCK, n - k0), :span]
-                for row, g in zip(block, gens[k0:k0 + _BLOCK]):
-                    g.standard_normal(out=row)
-                np.multiply(block.T, noise_amp, out=noise[:span, k0:k0 + _BLOCK])
+    with closing(_noise_chunks(gens, config.n_steps, noise_amp)) as chunks, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for noise in chunks:
             mark = config.n_burnin - step
-            for t in range(span):
+            for t in range(len(noise)):
                 if t == mark:
                     q_mark[:] = q
                 # p += ((-V'(q) + F) - gamma p) dt + amp xi;  q += p dt
@@ -129,7 +234,7 @@ def simulate(config: McConfig) -> McEstimate:
                 p += acc
                 np.multiply(p, dt_, out=work)
                 q += work
-            step += span
+            step += len(noise)
             if not np.all(np.isfinite(q)):
                 bad = int(np.nonzero(~np.isfinite(q))[0][0])
                 raise FloatingPointError(

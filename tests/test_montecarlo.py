@@ -1,3 +1,5 @@
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from washboard import montecarlo
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec
-from washboard.montecarlo import (McConfig, estimate_with_error_target, simulate)
+from washboard.montecarlo import (McConfig, NoiseHelperError, estimate_with_error_target,
+                                  simulate)
 from washboard.transport import solve_transport
 
 
@@ -95,15 +98,78 @@ def test_timestep_bias_shrinks():
     assert 0.03 * biases[0] <= biases[1] <= 0.7 * biases[0]
 
 
+def _diverging():
+    params = ModelParams(gamma=0.5, beta=1.0, force=1e308,
+                         potential=PeriodicPotential(period=2 * np.pi))
+    return McConfig(dt=0.01, n_steps=2000, n_burnin=0, n_traj=4, seed=0,
+                    params=params)
+
+
 def test_divergence_reports_trajectory():
     # A real overflow, not a mocked force: under the suite's
     # error::RuntimeWarning filter it must still surface as the documented error.
-    params = ModelParams(gamma=0.5, beta=1.0, force=1e308,
-                         potential=PeriodicPotential(period=2 * np.pi))
-    config = McConfig(dt=0.01, n_steps=2000, n_burnin=0, n_traj=4, seed=0,
-                      params=params)
     with pytest.raises(FloatingPointError, match="trajectory 0"):
-        simulate(config)
+        simulate(_diverging())
+
+
+_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_FORK
+def test_noise_helper_is_reaped():
+    simulate(McConfig(dt=0.01, n_steps=3000, n_burnin=100, n_traj=8, seed=1,
+                      params=_cos151(1.0)))
+    _assert_no_child()
+    # the traceback held here keeps simulate's frame, and its noise source, alive
+    with pytest.raises(FloatingPointError) as diverged:
+        simulate(_diverging())
+    _assert_no_child()
+    assert diverged.tb is not None
+
+
+@_FORK
+def test_noise_helper_failure_raises(monkeypatch, capfd):
+    fill = montecarlo._fill
+    filled = []
+
+    def fill_once(*args):
+        if filled:
+            raise RuntimeError("injected fill failure")
+        filled.append(True)
+        fill(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("simulate waited on a dead noise helper")
+
+    monkeypatch.setattr(montecarlo, "_fill", fill_once)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+    config = McConfig(dt=0.01, n_steps=1000, n_burnin=0, n_traj=4, seed=0,
+                      params=_cos151(1.0))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(NoiseHelperError, match="before chunk 1 of 10"):
+            simulate(config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "injected fill failure" in capfd.readouterr().err
+    _assert_no_child()
+
+
+@pytest.fixture(params=["fork", "inline"])
+def noise_path(request, monkeypatch):
+    """Noise from the forked helper, or filled inline as where os.fork is missing."""
+    if request.param == "inline":
+        monkeypatch.delattr(os, "fork")
+    elif not hasattr(os, "fork"):
+        pytest.skip("no os.fork here")
+    return request.param
 
 
 def _multi(force):
@@ -146,8 +212,14 @@ def test_estimates_bit_pinned(params, burnin, expected):
             est.n_traj_used) == expected
 
 
+@pytest.mark.parametrize("params, burnin, expected", _GOLDEN)
+def test_estimates_bit_pinned_without_fork(monkeypatch, params, burnin, expected):
+    monkeypatch.delattr(os, "fork")
+    test_estimates_bit_pinned(params, burnin, expected)
+
+
 @pytest.mark.parametrize("params", [_cos151(1.0), _multi(0.6)])
-def test_chunk_size_has_no_effect(monkeypatch, params):
+def test_chunk_size_has_no_effect(monkeypatch, params, noise_path):
     config = McConfig(dt=0.01, n_steps=600, n_burnin=50, n_traj=10, seed=3,
                       params=params)
     reference = simulate(config)

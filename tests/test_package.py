@@ -22,15 +22,25 @@ def test_every_export_resolves(name):
     assert not missing
 
 
-def test_import_loads_no_sparse_solver():
-    # every -L solve goes through transport's level recursion; a second
-    # solver built on scipy.sparse.linalg would show up here
-    code = ("import sys, washboard, washboard.cli; "
-            "print('scipy.sparse.linalg' in sys.modules)")
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import washboard, washboard.cli`` loads ``module``."""
+    code = f"import sys, washboard, washboard.cli; print({module!r} in sys.modules)"
     env_path = str(pathlib.Path(washboard.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": env_path})
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_import_loads_no_sparse_solver():
+    # every -L solve goes through transport's level recursion; a second
+    # solver built on scipy.sparse.linalg would show up here
+    assert not _loaded_by_import("scipy.sparse.linalg")
+
+
+def test_import_loads_no_multiprocessing():
+    # the Monte Carlo noise helper is a bare os.fork; multiprocessing would
+    # add its import to every process that imports the package
+    assert not _loaded_by_import("multiprocessing")
 
 
 def _load_spans():
