@@ -22,7 +22,7 @@ from .expansion import (EquilibriumChain, ExpansionTable, build_chain,
 from .overdamped import (OverdampedResult, check_overdamped_asymptotics,
                          lifson_jackson_diffusion, solve_overdamped,
                          stratonovich_drift)
-from .montecarlo import McConfig, McEstimate, estimate_with_error_target, simulate
+from .montecarlo import McConfig, McEstimate, simulate
 
 __version__ = "0.1.0"
 
@@ -39,5 +39,5 @@ __all__ = [
     "series_radius_estimate", "velocity_coefficient",
     "OverdampedResult", "check_overdamped_asymptotics",
     "lifson_jackson_diffusion", "solve_overdamped", "stratonovich_drift",
-    "McConfig", "McEstimate", "estimate_with_error_target", "simulate",
+    "McConfig", "McEstimate", "simulate",
 ]

@@ -10,19 +10,19 @@ einstein-check  D vs (1/beta) dU/dF with a centered finite difference
 fig             presets encoding the standard figure parameter sets
 
 Configuration is a JSON file (``--config``) with flat keys overridable by
-flags; all quantities are in the problem's nondimensional units.  Sweep points
-run one after another (``"workers": n``, an integer >= 1, spreads them over n
-threads, which only pays when the solves release the interpreter lock); the
-CSV rows always come out in sweep order, and every float prints with 17
-significant digits, so a rerun is byte-identical.
+flags; all quantities are in the problem's nondimensional units, and a key
+the config does not know inside ``potential``, ``trunc``, ``sweep`` or ``mc``
+is a config error.  Sweep points run one after another and the CSV rows come
+out in sweep order; every float prints with 17 significant digits, so a rerun
+is byte-identical.
 
 An adaptive sweep (``transport``, ``expand``, ``einstein-check``) climbs the
 half-octave Hermite ladder N = n0, 3 n0/2, 2 n0, 3 n0, .. and carries the
 truncation from point to point: each solve starts at the N the previous one
 converged at (``solve_transport``'s ``start``) and certifies the smaller
 rungs from its converged solution instead of solving them.  A point's
-row is the one a solve from the configured N gives, so rows depend on
-neither the sweep order nor ``workers``.
+row is the one a solve from the configured N gives, so it does not depend on
+the points before it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -63,23 +62,27 @@ _DEFAULTS = {
     "beta": 5.0,
     "force": 0.0,
     "potential": {"L": 1.0, "cos": [1.0], "sin": [], "offset": 0.0},
-    "trunc": {"n_hermite": 64, "n_fourier": 16, "closure": "dirichlet"},
+    "trunc": {"n_hermite": 64, "n_fourier": 16},
     "sweep": {"variable": "force", "min": 0.0, "max": 2.0, "count": 9},
     "order": 9,
     "orders": None,
     "adaptive": True,
     "scale": False,
     "mc": {"dt": 0.01, "n_steps": 100000, "n_burnin": 2000, "n_traj": 500, "seed": 1},
-    "workers": 1,
 }
 
 
 def _merge(base: dict, extra: dict) -> dict:
+    """``base`` updated by ``extra``; a nested object takes only known keys."""
     out = dict(base)
     for key, val in extra.items():
         if isinstance(out.get(key), dict) and val is not None:
             if not isinstance(val, dict):
                 raise ConfigError(f"{key!r} must be a JSON object, got {val!r}")
+            unknown = sorted(set(val) - set(out[key]))
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown} in {key!r}; "
+                                  f"known: {sorted(out[key])}")
             out[key] = _merge(out[key], val)
         elif val is not None:
             out[key] = val
@@ -137,8 +140,7 @@ def _build_trunc(cfg: dict) -> TruncationSpec:
     t = cfg["trunc"]
     try:
         return TruncationSpec(n_hermite=int(t["n_hermite"]),
-                              n_fourier=int(t["n_fourier"]),
-                              closure=t.get("closure", "dirichlet"))
+                              n_fourier=int(t["n_fourier"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad truncation spec: {exc}") from exc
 
@@ -157,13 +159,6 @@ def _sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
         raise ConfigError("sweep range must be finite")
     vals = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
     return var, vals
-
-
-def _workers(cfg: dict) -> int:
-    workers = _number(int, cfg["workers"], "workers")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    return workers
 
 
 def _point_params(params: ModelParams, var: str, value) -> ModelParams:
@@ -233,37 +228,22 @@ def parse_report(path: str) -> list[dict]:
     return rows
 
 
-def run_sweep(point_fn, values, workers: int = 1) -> list[dict]:
-    """Evaluate point_fn over the sweep on ``workers`` threads, rows in sweep order.
+def run_sweep(point_fn, values, column: str) -> list[dict]:
+    """Evaluate point_fn at each sweep value in order, one row per point.
 
-    A failing point contributes a row with the 'error' column set; the sweep
-    continues.
+    A failing point contributes a row with the 'error' column set and its
+    swept value under ``column`` (the column a successful row reports it in);
+    the sweep continues.
     """
-    def safe(iv):
-        i, v = iv
+    rows = []
+    for v in values:
         try:
             row = point_fn(v)
             row.setdefault("error", "")
-            return i, row
         except Exception as exc:   # per-point isolation
-            return i, {"error": f"{type(exc).__name__}: {exc}"}
-
-    indexed = list(enumerate(values))
-    if workers > 1 and len(indexed) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe, indexed))
-    else:
-        results = [safe(iv) for iv in indexed]
-    results.sort(key=lambda t: t[0])
-    return [row for _, row in results]
-
-
-def _sweep_rows(point_fn, values, workers: int, column: str) -> list[dict]:
-    """:func:`run_sweep`, with a failed point's row also carrying its swept
-    value under ``column`` (the column a successful row reports it in)."""
-    rows = run_sweep(point_fn, values, workers)
-    for row, v in zip(rows, values):
+            row = {"error": f"{type(exc).__name__}: {exc}"}
         row.setdefault(column, float(v))
+        rows.append(row)
     return rows
 
 
@@ -273,11 +253,7 @@ def _sweep_rows(point_fn, values, workers: int, column: str) -> list[dict]:
 
 class _Continuation:
     """``solve_transport`` for the points of one sweep, each solve started at
-    the Hermite truncation the previous converged solve ended at.
-
-    Sweep threads share it without a lock: the result does not depend on the
-    start, so a stale or lost update costs solves, not correctness.
-    """
+    the Hermite truncation the previous converged solve ended at."""
 
     def __init__(self, trunc: TruncationSpec, adaptive: bool):
         self.trunc = trunc
@@ -326,7 +302,6 @@ def cmd_transport(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     trunc = _build_trunc(cfg)
     var, values = _sweep_values(cfg)
-    workers = _workers(cfg)
     scale = cfg["scale"]
     if scale and reference_scales(params).critical_force is None:
         raise ConfigError("--scale requires a single-cosine potential")
@@ -335,7 +310,7 @@ def cmd_transport(cfg: dict, out: str) -> int:
     def point(v):
         return _transport_point(solve, _point_params(params, var, v), scale)
 
-    rows = _sweep_rows(point, values, workers, "F" if var == "force" else "gamma")
+    rows = run_sweep(point, values, "F" if var == "force" else "gamma")
     cols = _TRANSPORT_COLS + (_SCALED_COLS if scale else [])
     emit_report(rows, out, cols)
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -357,7 +332,6 @@ def cmd_expand(cfg: dict, out: str) -> int:
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")
-    workers = _workers(cfg)
     solve = _Continuation(trunc, cfg["adaptive"])
 
     chain = build_chain(params.with_force(0.0), trunc, order)
@@ -377,7 +351,7 @@ def cmd_expand(cfg: dict, out: str) -> int:
                                                        "naive_einstein")
         return row
 
-    rows = _sweep_rows(point, values, workers, "F")
+    rows = run_sweep(point, values, "F")
     cols = ["F", "U_spectral", "D_spectral", "f_radius_est"]
     cols += [f"U_order_{o}" for o in orders]
     for o in orders:
@@ -397,7 +371,6 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("overdamped mode sweeps the force")
-    workers = _workers(cfg)
     n_fourier = max(_number(int, cfg["trunc"]["n_fourier"], "n_fourier"), 64)
 
     def point(F):
@@ -409,7 +382,7 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
                 "D_O_linear_form": od.diffusion_linear_form,
                 "form_gap": od.residuals["form_gap"]}
 
-    rows = _sweep_rows(point, values, workers, "F")
+    rows = run_sweep(point, values, "F")
     emit_report(rows, out, ["F", "U_O", "U_O_quadrature", "drift_rel_gap",
                             "D_O", "D_O_linear_form", "form_gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -436,7 +409,7 @@ def cmd_mc(cfg: dict, out: str) -> int:
                 "stderr_U": est.stderr_u, "stderr_D": est.stderr_d,
                 "n_traj": est.n_traj_used}
 
-    rows = _sweep_rows(point, values, 1, var)   # trajectories already vectorized
+    rows = run_sweep(point, values, var)
     emit_report(rows, out, [var, "U_hat", "D_hat", "stderr_U", "stderr_D",
                             "n_traj", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
@@ -452,7 +425,6 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
     h = (float(s["max"]) - float(s["min"])) / 200.0
     if h <= 0:
         raise ConfigError("einstein-check needs a nonempty force range")
-    workers = _workers(cfg)
     solve = _Continuation(trunc, cfg["adaptive"])
 
     def point(F):
@@ -465,7 +437,7 @@ def cmd_einstein_check(cfg: dict, out: str) -> int:
         return {"F": F, "D_spectral": res.d_primary, "beta_inv_dUdF": naive,
                 "gap": res.d_primary - naive}
 
-    rows = _sweep_rows(point, values, workers, "F")
+    rows = run_sweep(point, values, "F")
     emit_report(rows, out, ["F", "D_spectral", "beta_inv_dUdF", "gap", "error"])
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK
 

@@ -42,14 +42,13 @@ import mmap
 import os
 import signal
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate",
-           "estimate_with_error_target"]
+__all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate"]
 
 # Steps of noise per chunk; the helper fills one chunk while the step loop
 # reads the other, so the two hold what one chunk of 1024 steps did.  No
@@ -93,7 +92,6 @@ class McEstimate:
     stderr_u: float
     stderr_d: float
     n_traj_used: int
-    target_met: bool = True
 
 
 def _streams(seed: int, n_traj: int) -> list[np.random.Generator]:
@@ -253,29 +251,3 @@ def simulate(config: McConfig) -> McEstimate:
     stderr_d = math.sqrt(var_of_var) / (2.0 * horizon)
     return McEstimate(u_hat=u_hat, d_hat=d_hat, stderr_u=stderr_u,
                       stderr_d=stderr_d, n_traj_used=n)
-
-
-def estimate_with_error_target(params: ModelParams, target_rel_stderr: float,
-                               base: McConfig | None = None,
-                               max_n_traj: int = 32000) -> McEstimate:
-    """Double the ensemble size until stderr_U/|U| meets the target.
-
-    Returns the last estimate with ``target_met=False`` if the trajectory cap
-    is reached first.  Streams are keyed by trajectory index, so growing the
-    ensemble only appends trajectories.
-    """
-    if not 0.0 < target_rel_stderr < 1.0:
-        raise ValueError("target must be in (0, 1)")
-    if base is None:
-        base = McConfig(dt=0.01, n_steps=50000, n_burnin=1000, n_traj=250,
-                        seed=0, params=params)
-    else:
-        base = replace(base, params=params)
-    config = base
-    while True:
-        est = simulate(config)
-        if abs(est.u_hat) > 0 and est.stderr_u / abs(est.u_hat) <= target_rel_stderr:
-            return est
-        if 2 * config.n_traj > max_n_traj:
-            return replace(est, target_met=False)
-        config = replace(config, n_traj=2 * config.n_traj)

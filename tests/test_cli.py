@@ -202,12 +202,19 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("mc", {"mc": dict(_MC_SMALL, n_burnin=200)}),
     ("mc", {"mc": dict(_MC_SMALL, seed=-1)}),
     ("overdamped", {"trunc": {"n_fourier": "x"}}),
+    ("transport", {"potential": {"L": 1.0, "cosine": [0.2]}}),
+    ("transport", {"trunc": {"n_hermit": 8, "n_fourier": 4}}),
+    ("transport", {"trunc": {"closure": "neumann"}}),
+    ("transport", {"sweep": {"cnt": 2}}),
+    ("mc", {"mc": dict(_MC_SMALL, n_trajectories=8)}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
         "order", "orders", "order-zero", "orders-below-one", "orders-above-order",
         "mc-n-traj",
         "mc-seed", "mc-one-trajectory", "mc-negative-dt", "mc-all-burn-in",
         "mc-negative-seed",
-        "overdamped-n-fourier"])
+        "overdamped-n-fourier",
+        "potential-unknown-key", "trunc-unknown-key", "trunc-closure",
+        "sweep-unknown-key", "mc-unknown-key"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -218,16 +225,27 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["two", 0, -1, [2]])
-@pytest.mark.parametrize("command", ["transport", "expand", "overdamped",
-                                     "einstein-check"])
-def test_workers_must_be_a_positive_integer(tmp_path, capsys, command, workers):
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps({"workers": workers}))
+def test_unknown_section_key_is_named(tmp_path, capsys):
+    # a misspelt key must not leave its default silently in place
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"potential": {"L": 1.0, "cosine": [0.2]},
+                                "trunc": {"n_hermit": 8, "n_fourier": 4},
+                                "sweep": {"cnt": 2}}))
     out = tmp_path / "x.csv"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
-    assert "workers" in capsys.readouterr().err
+    assert main(["transport", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'cosine'" in err and "'potential'" in err
     assert not out.exists()
+
+
+def test_unknown_top_level_key_is_ignored(tmp_path, flat_config):
+    # top-level keys stay open: a config may carry keys of other tools
+    cfg = json.loads(open(flat_config).read())
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(dict(cfg, workers=4)))
+    out = tmp_path / "x.csv"
+    assert main(["transport", "--config", str(path), "--out", str(out),
+                 "--count", "1"]) == 0
 
 
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, [True]])
@@ -357,12 +375,12 @@ def test_console_entry_point(tmp_path, flat_config):
     assert parse_report(out)[0]["U"] == pytest.approx(0.5, abs=1e-12)
 
 
-def _fig3_gamma05(tmp_path, **extra):
+def _fig3_gamma05(tmp_path):
     """fig3's gamma=0.5 sweep from F = 2 up (9 of its 17 points)."""
     [(_, cfg, _)] = [entry for entry in FIG_PRESETS["fig3"] if entry[2] == "gamma0.5"]
     sweep = dict(cfg["sweep"], min=2.0, count=9)
     path = tmp_path / "fig3_gamma05.json"
-    path.write_text(json.dumps(dict(cfg, sweep=sweep, **extra)))
+    path.write_text(json.dumps(dict(cfg, sweep=sweep)))
     return str(path)
 
 
@@ -396,16 +414,3 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     assert continued == uncertified == ladder
     assert (n_continued, n_uncertified, len(calls)) == (20, 30, 28)
 
-
-def test_continued_sweep_rows_do_not_depend_on_workers(tmp_path):
-    # the sweep's threads share the carried start rung; with more threads
-    # than cores and frequent switches, points see each other's starts
-    one = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=1), "one.csv")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        two = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=2), "two.csv")
-        four = _transport_bytes(tmp_path, _fig3_gamma05(tmp_path, workers=4), "four.csv")
-    finally:
-        sys.setswitchinterval(interval)
-    assert one == two == four

@@ -8,8 +8,7 @@ import pytest
 from washboard import montecarlo
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec
-from washboard.montecarlo import (McConfig, NoiseHelperError, estimate_with_error_target,
-                                  simulate)
+from washboard.montecarlo import McConfig, NoiseHelperError, simulate
 from washboard.transport import solve_transport
 
 
@@ -228,20 +227,3 @@ def test_chunk_size_has_no_effect(monkeypatch, params, noise_path):
         monkeypatch.setattr(montecarlo, "_BLOCK", size)
         assert simulate(config) == reference
 
-
-def test_error_target_free_particle():
-    params = _free(gamma=1.0, beta=1.0, force=2.0)
-    base = McConfig(dt=0.01, n_steps=10000, n_burnin=500, n_traj=50, seed=3,
-                    params=params)
-    est = estimate_with_error_target(params, 0.05, base=base)
-    assert est.target_met
-    assert est.stderr_u / abs(est.u_hat) <= 0.05
-
-
-def test_error_target_cap_flagged():
-    params = _cos151(0.05)    # tiny drift: impossible target at tiny cap
-    base = McConfig(dt=0.02, n_steps=2000, n_burnin=100, n_traj=8, seed=3,
-                    params=params)
-    est = estimate_with_error_target(params, 1e-4, base=base, max_n_traj=32)
-    assert not est.target_met
-    assert est.n_traj_used == 32

@@ -1,6 +1,6 @@
 import importlib
 import importlib.util
-import inspect
+import json
 import os
 import pathlib
 import pkgutil
@@ -43,6 +43,11 @@ def test_import_loads_no_multiprocessing():
     assert not _loaded_by_import("multiprocessing")
 
 
+def test_import_loads_no_thread_pool():
+    # sweeps run their points serially; a thread pool's import would show here
+    assert not _loaded_by_import("concurrent.futures.thread")
+
+
 def _load_spans():
     # the traced benchmark's span recorder imports only the standard library
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -65,7 +70,32 @@ def test_traced_benchmark_targets_resolve():
         assert callable(obj)
 
 
-def test_run_sweep_takes_three_positional_arguments():
-    # the traced run_sweep forwards (point_fn, values, workers) positionally
-    from washboard import cli
-    inspect.signature(cli.run_sweep).bind(lambda v: {}, [0.0], 1)
+def test_traced_sweep_writes_the_untraced_csv(tmp_path):
+    # the traced benchmark wraps run_sweep and forwards its three arguments
+    # positionally; the gamma = 0 point fails, and its row must still carry
+    # its swept value
+    from washboard.cli import main
+    cfg = {"gamma": 1.0, "beta": 5.0, "force": 0.5,
+           "potential": {"L": 1.0, "cos": [1.0]},
+           "trunc": {"n_hermite": 16, "n_fourier": 8}, "adaptive": False,
+           "sweep": {"variable": "gamma", "min": 0.0, "max": 1.0, "count": 3}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+
+    def argv(name):
+        return ["transport", "--config", str(tmp_path / "c.json"),
+                "--out", str(tmp_path / name)]
+
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"workload": "tiny", "calls": [{"argv": argv("traced.csv")}]}))
+    worker = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    proc = subprocess.run([sys.executable, str(worker),
+                           "--plan", str(tmp_path / "plan.json"),
+                           "--out", str(tmp_path / "r.json"),
+                           "--trace", str(tmp_path / "spans.jsonl")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["codes"] == [2]
+    assert main(argv("plain.csv")) == 2
+    traced = (tmp_path / "traced.csv").read_bytes()
+    assert traced == (tmp_path / "plain.csv").read_bytes()
+    assert traced.splitlines()[1].startswith(b"0,,")   # the failed row's gamma
