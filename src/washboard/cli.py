@@ -62,7 +62,7 @@ _DEFAULTS = {
     "beta": 5.0,
     "force": 0.0,
     "potential": {"L": 1.0, "cos": [1.0], "sin": [], "offset": 0.0},
-    "trunc": {"n_hermite": 64, "n_fourier": 16},
+    "trunc": {"n_hermite": 64, "n_fourier": 16, "closure": "dirichlet"},
     "sweep": {"variable": "force", "min": 0.0, "max": 2.0, "count": 9},
     "order": 9,
     "orders": None,
@@ -140,7 +140,8 @@ def _build_trunc(cfg: dict) -> TruncationSpec:
     t = cfg["trunc"]
     try:
         return TruncationSpec(n_hermite=int(t["n_hermite"]),
-                              n_fourier=int(t["n_fourier"]))
+                              n_fourier=int(t["n_fourier"]),
+                              closure=t.get("closure", "dirichlet"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad truncation spec: {exc}") from exc
 

@@ -33,7 +33,7 @@ mean <psi, 1>_beta is G's column 0 on level 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,8 +137,8 @@ class EquilibriumPoissonSolver:
         self.params = params
         self.trunc = trunc
         self.gram = gibbs_gram(params, trunc.n_fourier)
-        # nothing above level N, as in the assembled -L
-        self._factors = factor_hierarchy(params, trunc)
+        # nothing above level N, as in the assembled -L, whatever trunc.closure
+        self._factors = factor_hierarchy(params, replace(trunc, closure="dirichlet"))
 
     def mean(self, v: HermiteFourierField) -> float:
         """<v, 1>_beta from the Gram matrix's column 0 (exact in the basis)."""

@@ -175,7 +175,10 @@ def _noise_chunks(gens: list[np.random.Generator], n_steps: int, noise_amp: floa
                     f"noise helper exited before chunk {c} of {len(spans)}")
             yield slots[c % 2, :span]
             if c + 2 < len(spans):
-                os.write(free_w, b"\0")
+                try:
+                    os.write(free_w, b"\0")
+                except BrokenPipeError:
+                    pass        # the helper has exited; the next read says so
     finally:
         # After the last chunk the helper is exiting anyway; after an error it
         # may be mid-fill, so it is stopped rather than waited for.

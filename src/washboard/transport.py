@@ -17,12 +17,13 @@ yields a block-tridiagonal hierarchy over the Hermite index, with
 
     Q_n^+ Phi_{n-1} + Q_n Phi_n + Q_n^- Phi_{n+1} = rhs_n,
 
-closed with Phi_{N+1} = 0 at the top level N.  Eliminating it from the
+closed by a boundary condition at the top level N.  Eliminating it from the
 top is a block LU factorization: the Schur complements
 
-    G_N = Q_N,    G_n = Q_n - Q_n^- G_{n+1}^{-1} Q_{n+1}^+
+    G_N = Q_N + Q_N^- S_N,    G_n = Q_n - Q_n^- G_{n+1}^{-1} Q_{n+1}^+,
 
-are inverted once each, and every level follows from the one below it,
+(S_N = 0 for the Dirichlet closure, the identity for the Neumann one) are
+inverted once each, and every level follows from the one below it,
 Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}).
 
 The stationary Fokker-Planck hierarchy is the negative adjoint of the cell
@@ -209,7 +210,9 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     friction = blocks.friction
     lwork = int(dgetri_lwork(size)[0])
     inverses = np.empty((N + 1, size, size))
-    g = np.zeros((size, size))      # nothing above level N
+    # Q_N^- S_N: nothing above level N (dirichlet), or Phi_{N+1} = Phi_N
+    g = (np.zeros((size, size)) if trunc.closure == "dirichlet"
+         else np.sqrt(N + 1) * blocks.drift)
     for n in range(N, 0, -1):
         g.reshape(-1)[:: size + 1] -= friction * n     # g is C-ordered: a view
         blocks.add_shift(g)
@@ -251,17 +254,20 @@ class StationaryDensity:
         return self.factors.trunc
 
 
-def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks) -> float:
+def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str) -> float:
     """Largest residual of the density hierarchy rows n = 1..N as solved.
 
-    Nothing sits above the top row; every row has the diagonal shift
-    d_q R_n of the displaced basis.
+    The top row carries the W-adjoint of the cell closure: nothing for
+    Dirichlet, sqrt(N+1) lift R_N for Neumann.  Every row has the diagonal
+    shift d_q R_n of the displaced basis.
     """
     N = levels.shape[0] - 1
     n = np.arange(1, N + 1)[:, None]
     up = levels @ blocks.lift.T                  # lift R_n
     above = np.zeros_like(levels[1:])            # d_q R_{n+1}, closed at the top
     above[:-1] = levels[2:] @ blocks.d_q.T
+    if closure == "neumann":
+        above[-1] = up[N]
     res = (np.sqrt(n) * up[:-1] + blocks.friction * n * levels[1:]
            + np.sqrt(n + 1) * above)
     if blocks.shift:
@@ -312,7 +318,7 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     flux = blocks.d_q @ (levels[1] + blocks.shift * levels[0])    # the n = 0 row
     diagnostics = {
         "top_level_ratio": float(np.abs(levels[N]).max()) / scale,
-        "hierarchy_residual": _density_residual(levels, blocks) / scale,
+        "hierarchy_residual": _density_residual(levels, blocks, trunc.closure) / scale,
         "normalization_residual": abs(L * levels[0, 0] - 1.0),
         "flux_residual": float(np.abs(flux).max()) / scale,
     }
@@ -440,6 +446,7 @@ class TransportResult:
     d_ibp_stability: float
     n_hermite: int
     n_fourier: int
+    closure: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -560,6 +567,7 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
         d_ibp_stability=stability,
         n_hermite=N,
         n_fourier=phi.n_fourier,
+        closure=density.trunc.closure,
         diagnostics=diagnostics,
     )
 

@@ -204,7 +204,7 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("overdamped", {"trunc": {"n_fourier": "x"}}),
     ("transport", {"potential": {"L": 1.0, "cosine": [0.2]}}),
     ("transport", {"trunc": {"n_hermit": 8, "n_fourier": 4}}),
-    ("transport", {"trunc": {"closure": "neumann"}}),
+    ("transport", {"trunc": {"closure": "robin"}}),
     ("transport", {"sweep": {"cnt": 2}}),
     ("mc", {"mc": dict(_MC_SMALL, n_trajectories=8)}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",

@@ -1,5 +1,6 @@
 import os
 import signal
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,38 @@ def test_noise_helper_failure_raises(monkeypatch, capfd):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert "injected fill failure" in capfd.readouterr().err
+    _assert_no_child()
+
+
+@_FORK
+def test_noise_helper_gone_before_the_slot_is_freed(monkeypatch, capfd):
+    # a caller slower than the failing helper frees chunk 0's slot into a
+    # pipe nobody reads; that is the helper's failure, not a broken pipe
+    fill = montecarlo._fill
+    filled = []
+
+    def fill_once(*args):
+        if filled:
+            raise RuntimeError("injected fill failure")
+        filled.append(True)
+        fill(*args)
+
+    chunks = montecarlo._noise_chunks
+
+    def slow_caller(*args):
+        with closing(chunks(*args)) as inner:
+            for noise in inner:
+                yield noise
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)   # helper exited
+
+    monkeypatch.setattr(montecarlo, "_fill", fill_once)
+    monkeypatch.setattr(montecarlo, "_noise_chunks", slow_caller)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+    config = McConfig(dt=0.01, n_steps=1000, n_burnin=0, n_traj=4, seed=0,
+                      params=_cos151(1.0))
+    with pytest.raises(NoiseHelperError, match="before chunk 1 of 10"):
+        simulate(config)
     assert "injected fill failure" in capfd.readouterr().err
     _assert_no_child()
 

@@ -39,7 +39,7 @@ def _displaced_generator(params, trunc):
 # ---------------------------------------------------------------------------
 
 def test_diag_block_values():
-    # with nothing above level N the top Schur complement is the bare level-N
+    # with the dirichlet closure the top Schur complement is the bare level-N
     # diagonal block -gamma sqrt(beta) N; level 0 has none, so the bottom
     # block annihilates constants
     trunc = TruncationSpec(8, 1)
@@ -236,10 +236,11 @@ def test_tilted_density_is_w_adjoint_null_vector():
     assert np.abs(res).max() <= 1e-10 * np.abs(R).max()
 
 
-def test_density_residual_is_for_the_solved_closure():
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+def test_density_residual_is_for_the_solved_closure(closure):
     # N = 12 leaves the top levels large, so a residual taken with another
     # top row than the one solved would read about 2e-2
-    density = solve_stationary_fp(_params(force=0.5), TruncationSpec(12, 16))
+    density = solve_stationary_fp(_params(force=0.5), TruncationSpec(12, 16, closure))
     assert density.diagnostics["top_level_ratio"] > 1e-4
     assert density.diagnostics["hierarchy_residual"] <= 1e-12
 
@@ -304,6 +305,8 @@ def test_density_mismatch_rejected():
     density = solve_stationary_fp(params, TruncationSpec(24, 8))
     with pytest.raises(ValueError):
         solve_cell_problem(params, TruncationSpec(32, 8), density)
+    with pytest.raises(ValueError):
+        solve_cell_problem(params, TruncationSpec(24, 8, "neumann"), density)
 
 
 def test_density_for_other_params_rejected():
@@ -317,15 +320,16 @@ _MIXED = PeriodicPotential(period=2.0, cos_coeffs=(0.8, 0.0, -0.3),
                            sin_coeffs=(0.0, 0.25), offset=1.5)
 
 
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("force", [0.0, 0.7, 3.0])
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 50.0])
 @pytest.mark.parametrize("potential", [PeriodicPotential.cosine(1.0, 1.0), _MIXED],
                          ids=["cosine", "mixed"])
-def test_cell_bottom_block_kernels_are_exact(potential, gamma, force):
+def test_cell_bottom_block_kernels_are_exact(potential, gamma, force, closure):
     # the premises of the cell solve: e0 is an exact right null vector of the
     # bottom block (d_q kills constants) and W R_0 a left one to roundoff
     params = ModelParams(gamma=gamma, beta=5.0, force=force, potential=potential)
-    trunc = TruncationSpec(64, 12)
+    trunc = TruncationSpec(64, 12, closure)
     density = solve_stationary_fp(params, trunc)
     bottom = density.factors.bottom
     assert not bottom[:, 0].any()
@@ -427,6 +431,14 @@ def test_gauss_rule_is_computed_once_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
 
 
+def test_compute_diffusion_reports_solved_closure():
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    trunc = TruncationSpec(64, 16, "neumann")
+    density = solve_stationary_fp(params, trunc)
+    phi = solve_cell_problem(params, trunc, density)
+    assert compute_diffusion(density, phi, params).closure == "neumann"
+
+
 def test_dual_formula_agreement():
     pot = PeriodicPotential.cosine(0.25, 2 * np.pi)
     for gamma, n in ((1.0, 120), (0.1, 240)):
@@ -443,6 +455,14 @@ def test_transport_reflection_symmetry():
     minus = solve_transport(params.reflected(), trunc)
     assert abs(plus.drift + minus.drift) <= 1e-9 * max(abs(plus.drift), 1e-12)
     assert abs(plus.d_primary - minus.d_primary) <= 1e-9 * plus.d_primary
+
+
+def test_transport_closure_insensitivity():
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    dir_res = solve_transport(params, TruncationSpec(160, 24, "dirichlet"))
+    neu_res = solve_transport(params, TruncationSpec(160, 24, "neumann"))
+    assert abs(dir_res.drift - neu_res.drift) <= 1e-8 * max(abs(dir_res.drift), 1e-10)
+    assert abs(dir_res.d_primary - neu_res.d_primary) <= 1e-8 * dir_res.d_primary
 
 
 def test_transport_truncation_convergence():
@@ -668,15 +688,16 @@ def test_ladder_above_the_cap_is_n0_alone():
     assert transport._ladder(transport._N_HERMITE_MAX) == [transport._N_HERMITE_MAX]
 
 
-def test_factors_equal_the_dense_schur_step():
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+def test_factors_equal_the_dense_schur_step(closure):
     # the in-place step (a strided view of the diagonal, the shift through
     # d_q's nonzeros) builds G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q as the
     # dense expression does, and the bottom block bit for bit
     params = _params(gamma=0.3, beta=2.0, force=0.4)
-    trunc = TruncationSpec(12, 6)
+    trunc = TruncationSpec(12, 6, closure=closure)
     f = factor_hierarchy(params, trunc)
     b = f.blocks
-    g = np.zeros_like(b.d_q)
+    g = np.zeros_like(b.d_q) if closure == "dirichlet" else np.sqrt(13) * b.drift
     for n in range(12, 0, -1):
         g = g - b.friction * n * np.eye(b.size) + b.shift * b.d_q
         assert np.allclose(np.linalg.inv(g), f.inverses[n], rtol=1e-12, atol=1e-14)
