@@ -12,9 +12,11 @@ fig             presets encoding the standard figure parameter sets
 Configuration is a JSON file (``--config``) with flat keys overridable by
 flags; all quantities are in the problem's nondimensional units, and a key
 the config does not know inside ``potential``, ``trunc``, ``sweep`` or ``mc``
-is a config error.  Sweep points run one after another and the CSV rows come
-out in sweep order; every float prints with 17 significant digits, so a rerun
-is byte-identical.
+is a config error.  The points of a sweep are shared out to one forked
+process per CPU (:func:`run_sweep`), and the CSV rows come out in sweep
+order.  Every float prints with 17 significant digits, and :func:`main` runs
+BLAS on one thread, so a rerun is byte-identical whatever the CPU count or
+the BLAS thread setting (``OPENBLAS_NUM_THREADS``) of the caller.
 
 An adaptive sweep (``transport``, ``expand``, ``einstein-check``) climbs the
 half-octave Hermite ladder N = n0, 3 n0/2, 2 n0, 3 n0, .. and carries the
@@ -29,11 +31,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
+import signal
 import sys
 from dataclasses import replace
 
 import numpy as np
 
+from .blas import one_thread, single_threaded
 from .model import ModelParams, PeriodicPotential, reference_scales
 from .basis import TruncationSpec
 from .transport import solve_transport
@@ -229,22 +235,109 @@ def parse_report(path: str) -> list[dict]:
     return rows
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _point_row(point_fn, value, column: str) -> dict:
+    try:
+        row = point_fn(value)
+        row.setdefault("error", "")
+    except Exception as exc:   # per-point isolation
+        row = {"error": f"{type(exc).__name__}: {exc}"}
+    row.setdefault(column, float(value))
+    return row
+
+
+def _start_helper(point_fn, chunk: list, column: str) -> tuple[int, int] | None:
+    """Fork a process that solves ``chunk`` and writes its pickled rows to a
+    pipe; (pid, read end), or None when no process could be started."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:                    # the helper; it never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps([_point_row(point_fn, v, column) for v in chunk])
+            with open(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        except BaseException:
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_fd)              # so that the helper's exit reads as EOF
+    return pid, read_fd
+
+
+def _helper_rows(read_fd: int, count: int) -> list[dict] | None:
+    """The ``count`` rows a helper wrote, or None if it ended without them."""
+    with open(read_fd, "rb", closefd=False) as fh:
+        payload = fh.read()
+    try:
+        rows = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):   # died before or while writing
+        return None
+    if isinstance(rows, list) and len(rows) == count \
+            and all(isinstance(r, dict) for r in rows):
+        return rows
+    return None
+
+
 def run_sweep(point_fn, values, column: str) -> list[dict]:
-    """Evaluate point_fn at each sweep value in order, one row per point.
+    """Evaluate point_fn at each sweep value, one row per point, in sweep order.
 
     A failing point contributes a row with the 'error' column set and its
     swept value under ``column`` (the column a successful row reports it in);
     the sweep continues.
+
+    The points are independent, so with three points or more, two CPUs or
+    more, ``os.fork`` and every OpenBLAS copy on one thread (as
+    :func:`main` sets it; forked BLAS thread pools lose), they are shared out
+    to processes.  The first point runs here first: the adaptive engines'
+    point functions carry their converged truncation to the next point
+    (``_Continuation``), so every forked helper starts at that rung instead
+    of climbing the ladder from n0 (on a 2-core Xeon, 0.6 s against 0.2 s
+    a point at gamma = 0.01).  The other points are cut into one contiguous
+    chunk per CPU, because neighbouring points need about the same
+    truncation and continuation pays off along a run of them.  This process solves the
+    first chunk, forked helpers the others, and each helper sends its rows
+    back pickled through a pipe.  A helper that dies, or sends no valid
+    rows, has its chunk solved here again, to the same rows.  Helpers are
+    killed and reaped on every way out.
     """
-    rows = []
-    for v in values:
-        try:
-            row = point_fn(v)
-            row.setdefault("error", "")
-        except Exception as exc:   # per-point isolation
-            row = {"error": f"{type(exc).__name__}: {exc}"}
-        row.setdefault(column, float(v))
-        rows.append(row)
+    values = list(values)
+    rows = [_point_row(point_fn, v, column) for v in values[:1]]
+    rest = values[1:]
+    n = min(_cpu_count(), len(rest))     # below 2: fewer than 3 points or 2 CPUs
+    if n < 2 or not hasattr(os, "fork") or not single_threaded():
+        return rows + [_point_row(point_fn, v, column) for v in rest]
+
+    chunks = [rest[len(rest) * i // n : len(rest) * (i + 1) // n] for i in range(n)]
+    helpers = []
+    try:
+        for chunk in chunks[1:]:
+            helpers.append(_start_helper(point_fn, chunk, column))
+        rows += [_point_row(point_fn, v, column) for v in chunks[0]]
+        for chunk, helper in zip(chunks[1:], helpers):
+            got = _helper_rows(helper[1], len(chunk)) if helper else None
+            rows += got if got is not None else \
+                [_point_row(point_fn, v, column) for v in chunk]
+    finally:
+        for pid, read_fd in filter(None, helpers):
+            os.kill(pid, signal.SIGKILL)     # one whose rows are read is exiting
+            os.close(read_fd)
+            os.waitpid(pid, 0)
     return rows
 
 
@@ -567,7 +660,11 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: v for k, v in ov.items() if v is not None}
 
 
+@one_thread()
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand with every OpenBLAS copy on one thread (restored on
+    return): sweep rows then do not depend on the BLAS thread count, and
+    :func:`run_sweep` may fork."""
     parser = argparse.ArgumentParser(
         prog="washboard",
         description="Transport coefficients of a Brownian particle in a "

@@ -32,7 +32,9 @@ fills exactly as the caller would, so results are the same bits with or
 without it; where ``os.fork`` does not exist the caller fills each chunk
 itself.  Python 3.12 and later warn when a process with threads forks, and
 OpenBLAS starts threads at import; that warning was not seen, as only
-Python 3.11 was tried.
+Python 3.11 was tried.  The same holds for the sweep helpers of
+:func:`washboard.cli.run_sweep`: they fork with BLAS pinned to one thread,
+but the pin leaves OpenBLAS's idle threads in place.
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgesv, dgetrf, dgetri, dgetri_lwork, dgetrs
 
+from .blas import one_thread
 from .model import ModelParams
 from .basis import (
     HermiteFourierField,
@@ -176,12 +177,14 @@ class HierarchyFactors:
     elimination, Q_0 = sqrt(beta) p0 d_q; it is singular, with column 0
     exactly zero (constants solve the homogeneous problem).  ``params`` and
     ``trunc`` record the problem the factors belong to, ``blocks`` the basis.
+    ``inverses`` is None in the factors :func:`solve_transport` keeps past
+    the cell solve.
     """
 
     params: ModelParams
     trunc: TruncationSpec
     blocks: HierarchyBlocks = field(repr=False)
-    inverses: np.ndarray = field(repr=False)    # [n] = G_n^{-1}, n = 1..N; [0] unused
+    inverses: np.ndarray | None = field(repr=False)   # [n] = G_n^{-1}, n = 1..N; [0] unused
     bottom: np.ndarray = field(repr=False)
 
     def solve(self, n: int, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -190,6 +193,7 @@ class HierarchyFactors:
         return (inv.T if transpose else inv) @ b
 
 
+@one_thread()
 def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
                      blocks: HierarchyBlocks | None = None) -> HierarchyFactors:
     """Invert the Schur complements G_N..G_1 of the cell hierarchy.
@@ -198,7 +202,8 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     is Q_{n-1}^- S_{n-1} = -n drift G_n^{-1} d_q, and G_{n-1} adds the
     diagonal block Q_{n-1} = shift d_q - gamma sqrt(beta) (n-1).  ``blocks``
     defaults to :func:`displaced_blocks`; blocks centred elsewhere than
-    F/gamma raise ValueError.
+    F/gamma raise ValueError.  Runs on one BLAS thread (:mod:`washboard.blas`):
+    threading kernels on blocks this small costs more than it gains.
     """
     if blocks is None:
         blocks = displaced_blocks(params, trunc)
@@ -275,6 +280,7 @@ def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str)
     return float(np.abs(res).max())
 
 
+@one_thread()
 def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
                         blocks: HierarchyBlocks | None = None) -> StationaryDensity:
     """Stationary density and effective drift.
@@ -373,6 +379,7 @@ def _solve_cell(params: ModelParams, trunc: TruncationSpec,
             {"solvability_defect": defect})
 
 
+@one_thread()
 def solve_levels(factors: HierarchyFactors, rhs: np.ndarray, left_null: np.ndarray
                  ) -> tuple[np.ndarray, float, float]:
     """Solve the cell hierarchy for right-hand side levels 0..K-1, K <= N+1.
@@ -683,6 +690,10 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
         cur = trunc.with_n_hermite(n)
         density = solve_stationary_fp(params, cur, blocks=blocks)
         phi, cell_diag = _solve_cell(params, cur, density)
+        # N+1 inverses (30 MB at N = 1536, M = 24) are not needed past the
+        # cell solve; a rung kept through the next rung's solve and through
+        # compute_diffusion would otherwise hold them
+        density = replace(density, factors=replace(density.factors, inverses=None))
         return _Rung(density, phi, cell_diag)
 
     def climb(ladder: list[int]) -> _Rung | None:

@@ -1,10 +1,15 @@
 import json
+import os
+import pathlib
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import washboard
+import washboard.blas as blas
 import washboard.cli as cli
 import washboard.transport as transport
 from test_transport import _count_solves
@@ -395,6 +400,7 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     # and from F = 2.75 up the converged solutions at 384 carry a bump of
     # levels (a metastable locked state) above rungs that converge when solved
     config = _fig3_gamma05(tmp_path)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)   # count every solve here
     calls = _count_solves(monkeypatch)
     continued = _transport_bytes(tmp_path, config, "continued.csv")
     n_continued = len(calls)
@@ -413,4 +419,132 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
 
     assert continued == uncertified == ladder
     assert (n_continued, n_uncertified, len(calls)) == (20, 30, 28)
+
+    monkeypatch.setattr(cli, "solve_transport", solve)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert _transport_bytes(tmp_path, config, "split.csv") == continued
+
+
+# Five forces, 0 .. 1.2: the first runs before the split, the other four are
+# cut into chunks of 2+2 (two CPUs) or 1+1+2 (three), so 1.2 always lies in
+# the last helper's chunk.
+_SPLIT_CONFIG = {"gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
+                 "trunc": {"n_hermite": 64, "n_fourier": 16},
+                 "sweep": {"variable": "force", "min": 0.0, "max": 1.2, "count": 5}}
+
+
+def _split_run(tmp_path, monkeypatch, command, cpus, name):
+    """Exit code and CSV bytes of ``command`` on _SPLIT_CONFIG at ``cpus``;
+    a sweep still waiting on a helper after 30 s fails (exit code 2)."""
+    def hung(signum, frame):
+        raise TimeoutError("the sweep waited 30 s on its helpers")
+
+    config, out = tmp_path / "split.json", tmp_path / name
+    config.write_text(json.dumps(_SPLIT_CONFIG))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code = main([command, "--config", str(config), "--out", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.read_bytes()
+
+
+def _patch_solve(monkeypatch, action):
+    """Run ``action(params)`` before every CLI solve, in whichever process
+    solves."""
+    solve = cli.solve_transport
+
+    def patched(params, *args, **kwargs):
+        action(params)
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_transport", patched)
+
+
+def _fail_at_top(params):
+    if params.force == 1.2:
+        raise transport.SolverError("injected at F=1.2")
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.fixture
+def pinnable():
+    if not blas._controls():
+        pytest.skip("no loaded OpenBLAS exports its thread entry points")
+
+
+@pytest.mark.parametrize("command", ["transport", "expand", "einstein-check"])
+def test_split_sweep_csv_equals_serial(tmp_path, monkeypatch, pinnable, command):
+    _patch_solve(monkeypatch, _fail_at_top)
+    forks = _count_forks(monkeypatch)
+    runs = {}
+    for cpus in (1, 2, 3):
+        del forks[:]
+        runs[cpus] = _split_run(tmp_path, monkeypatch, command, cpus, f"{cpus}.csv")
+        assert len(forks) == cpus - 1
+    assert runs[1] == runs[2] == runs[3]
+    code, csv = runs[1]
+    assert code == 2 and csv.count(b"SolverError: injected at F=1.2") == 1
+    assert csv.count(b"\n") == 6
+
+
+def test_dead_helper_chunk_is_solved_again(tmp_path, monkeypatch, pinnable):
+    serial = _split_run(tmp_path, monkeypatch, "transport", 1, "serial.csv")
+    parent = os.getpid()
+
+    def die_in_helper(params):
+        if os.getpid() != parent and params.force == 1.2:
+            os._exit(3)             # the helper's second point, chunk 0.9, 1.2
+
+    _patch_solve(monkeypatch, die_in_helper)
+    forks = _count_forks(monkeypatch)
+    split = _split_run(tmp_path, monkeypatch, "transport", 2, "split.csv")
+    assert split == serial and serial[0] == 0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_runs_serially_without_fork(tmp_path, monkeypatch):
+    serial = _split_run(tmp_path, monkeypatch, "transport", 1, "serial.csv")
+    monkeypatch.delattr(os, "fork")
+    assert _split_run(tmp_path, monkeypatch, "transport", 3, "nofork.csv") == serial
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig1's gamma=0.01 row at 0.48 F_c (the third): its d_ibp_stability
+    # came out differently on one and on two OpenBLAS threads
+    [(_, cfg, _)] = [e for e in FIG_PRESETS["fig1"] if e[2] == "gamma0.01"]
+    s = cfg["sweep"]
+    force = float(np.linspace(s["min"], s["max"], s["count"])[2])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dict(cfg, sweep=dict(s, min=force, max=force, count=1))))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(pathlib.Path(washboard.__file__).resolve().parents[1])
+    csvs = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads{threads}.csv"
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "washboard.cli", "transport", "--config",
+                        str(config), "--out", str(out)], env=run_env, check=True,
+                       timeout=120)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert parse_report(str(tmp_path / "threads1.csv"))[0]["n_hermite"] == 1536
 

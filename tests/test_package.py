@@ -44,7 +44,8 @@ def test_import_loads_no_multiprocessing():
 
 
 def test_import_loads_no_thread_pool():
-    # sweeps run their points serially; a thread pool's import would show here
+    # sweeps share their points out to forked processes, not to a thread pool,
+    # whose import would show here
     assert not _loaded_by_import("concurrent.futures.thread")
 
 
