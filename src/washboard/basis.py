@@ -63,25 +63,18 @@ __all__ = [
 class TruncationSpec:
     """Galerkin truncation: Hermite levels 0..n_hermite, harmonics 0..n_fourier.
 
-    ``closure`` selects the boundary condition closing the cell-problem
-    hierarchy at the top: level N+1 is set to zero ("dirichlet") or copied
-    from level N ("neumann").  The stationary density is solved with the same
-    factors, so its top row is the W-adjoint of the cell closure: level N+1
-    set to zero for "dirichlet"; for "neumann" the top-row term
-    sqrt(N+1) d_q R_{N+1} becomes sqrt(N+1) (d_q - beta (F - V')) R_N.
+    Every coefficient above level N = n_hermite is zero, in the cell problem
+    and the stationary density alike.
     """
 
     n_hermite: int
     n_fourier: int
-    closure: str = "dirichlet"
 
     def __post_init__(self):
         if self.n_hermite < 2:
             raise ValueError(f"n_hermite must be >= 2, got {self.n_hermite}")
         if self.n_fourier < 1:
             raise ValueError(f"n_fourier must be >= 1, got {self.n_fourier}")
-        if self.closure not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown closure {self.closure!r}")
 
     def check_potential(self, potential: PeriodicPotential) -> None:
         if potential.n_harmonics > self.n_fourier:
@@ -91,7 +84,7 @@ class TruncationSpec:
             )
 
     def with_n_hermite(self, n: int) -> "TruncationSpec":
-        return TruncationSpec(n, self.n_fourier, self.closure)
+        return TruncationSpec(n, self.n_fourier)
 
 
 # ---------------------------------------------------------------------------

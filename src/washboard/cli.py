@@ -68,7 +68,7 @@ _DEFAULTS = {
     "beta": 5.0,
     "force": 0.0,
     "potential": {"L": 1.0, "cos": [1.0], "sin": [], "offset": 0.0},
-    "trunc": {"n_hermite": 64, "n_fourier": 16, "closure": "dirichlet"},
+    "trunc": {"n_hermite": 64, "n_fourier": 16},
     "sweep": {"variable": "force", "min": 0.0, "max": 2.0, "count": 9},
     "order": 9,
     "orders": None,
@@ -115,20 +115,27 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _number(kind, value, name: str):
-    """kind(value), with a value that is no number reported as a config error."""
+    """kind(value), with a value that is no number reported as a config error.
+
+    A bool is no number here, although int(True) is 1.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _build_potential(spec: dict) -> PeriodicPotential:
     try:
         return PeriodicPotential(
-            period=spec["L"],
-            cos_coeffs=tuple(spec.get("cos", ())),
-            sin_coeffs=tuple(spec.get("sin", ())),
-            offset=spec.get("offset", 0.0),
+            period=_number(float, spec["L"], "potential L"),
+            cos_coeffs=tuple(_number(float, c, "potential cos entry")
+                             for c in spec.get("cos", ())),
+            sin_coeffs=tuple(_number(float, c, "potential sin entry")
+                             for c in spec.get("sin", ())),
+            offset=_number(float, spec.get("offset", 0.0), "potential offset"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
@@ -136,7 +143,9 @@ def _build_potential(spec: dict) -> PeriodicPotential:
 
 def _build_params(cfg: dict) -> ModelParams:
     try:
-        return ModelParams(gamma=cfg["gamma"], beta=cfg["beta"], force=cfg["force"],
+        return ModelParams(gamma=_number(float, cfg["gamma"], "gamma"),
+                           beta=_number(float, cfg["beta"], "beta"),
+                           force=_number(float, cfg["force"], "force"),
                            potential=_build_potential(cfg["potential"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -145,9 +154,8 @@ def _build_params(cfg: dict) -> ModelParams:
 def _build_trunc(cfg: dict) -> TruncationSpec:
     t = cfg["trunc"]
     try:
-        return TruncationSpec(n_hermite=int(t["n_hermite"]),
-                              n_fourier=int(t["n_fourier"]),
-                              closure=t.get("closure", "dirichlet"))
+        return TruncationSpec(n_hermite=_number(int, t["n_hermite"], "n_hermite"),
+                              n_fourier=_number(int, t["n_fourier"], "n_fourier"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad truncation spec: {exc}") from exc
 
@@ -594,8 +602,7 @@ def cmd_fig(preset: str, out: str) -> int:
     worst = EXIT_OK
     for mode, cfg, tag in FIG_PRESETS[preset]:
         cfg = _merge(dict(_DEFAULTS), cfg)
-        path = out.replace(".csv", f"_{tag}.csv") if out.endswith(".csv") \
-            else f"{out}_{tag}.csv"
+        path = f"{out.removesuffix('.csv')}_{tag}.csv"
         code = _MODE_FN[mode](cfg, path)
         worst = max(worst, code)
         print(f"{preset} [{tag}] -> {path}")

@@ -17,13 +17,12 @@ yields a block-tridiagonal hierarchy over the Hermite index, with
 
     Q_n^+ Phi_{n-1} + Q_n Phi_n + Q_n^- Phi_{n+1} = rhs_n,
 
-closed by a boundary condition at the top level N.  Eliminating it from the
-top is a block LU factorization: the Schur complements
+with nothing above level N.  Eliminating it from the top is a block LU
+factorization: the Schur complements
 
-    G_N = Q_N + Q_N^- S_N,    G_n = Q_n - Q_n^- G_{n+1}^{-1} Q_{n+1}^+,
+    G_N = Q_N,    G_n = Q_n - Q_n^- G_{n+1}^{-1} Q_{n+1}^+,
 
-(S_N = 0 for the Dirichlet closure, the identity for the Neumann one) are
-inverted once each, and every level follows from the one below it,
+are inverted once each, and every level follows from the one below it,
 Phi_n = G_n^{-1} (rhs_n - Q_n^+ Phi_{n-1}).
 
 The stationary Fokker-Planck hierarchy is the negative adjoint of the cell
@@ -173,8 +172,10 @@ def displaced_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlo
 class HierarchyFactors:
     """Inverses of the cell hierarchy's Schur complements G_1..G_N.
 
-    ``bottom`` is the level-0 block G_0 = Q_0 + Q_0^- S_0 left after the
-    elimination, Q_0 = sqrt(beta) p0 d_q; it is singular, with column 0
+    The hierarchy has nothing above level N = ``trunc.n_hermite``, so
+    G_N = Q_N.  ``bottom`` is the level-0 block
+    G_0 = Q_0 - Q_0^- G_1^{-1} Q_1^+ left after the elimination,
+    Q_0 = sqrt(beta) p0 d_q; it is singular, with column 0
     exactly zero (constants solve the homogeneous problem).  ``params`` and
     ``trunc`` record the problem the factors belong to, ``blocks`` the basis.
     ``inverses`` is None in the factors :func:`solve_transport` keeps past
@@ -199,8 +200,8 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     """Invert the Schur complements G_N..G_1 of the cell hierarchy.
 
     With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
-    is Q_{n-1}^- S_{n-1} = -n drift G_n^{-1} d_q, and G_{n-1} adds the
-    diagonal block Q_{n-1} = shift d_q - gamma sqrt(beta) (n-1).  ``blocks``
+    is G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q, starting from G_N = Q_N, with
+    the diagonal block Q_n = shift d_q - gamma sqrt(beta) n.  ``blocks``
     defaults to :func:`displaced_blocks`; blocks centred elsewhere than
     F/gamma raise ValueError.  Runs on one BLAS thread (:mod:`washboard.blas`):
     threading kernels on blocks this small costs more than it gains.
@@ -215,17 +216,15 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     friction = blocks.friction
     lwork = int(dgetri_lwork(size)[0])
     inverses = np.empty((N + 1, size, size))
-    # Q_N^- S_N: nothing above level N (dirichlet), or Phi_{N+1} = Phi_N
-    g = (np.zeros((size, size)) if trunc.closure == "dirichlet"
-         else np.sqrt(N + 1) * blocks.drift)
+    g = np.zeros((size, size))
     for n in range(N, 0, -1):
         g.reshape(-1)[:: size + 1] -= friction * n     # g is C-ordered: a view
         blocks.add_shift(g)
         lu, piv, info = dgetrf(g, overwrite_a=1)
-        _check_info(info, f"singular closure block at hermite level n={n}; "
+        _check_info(info, f"singular Schur complement at hermite level n={n}; "
                           "raise n_hermite or check parameters")
         inv, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=1)
-        _check_info(info, f"singular closure block at hermite level n={n}")
+        _check_info(info, f"singular Schur complement at hermite level n={n}")
         inverses[n] = inv
         g = blocks.drift @ (inv @ blocks.d_q)
         g *= -n
@@ -259,20 +258,17 @@ class StationaryDensity:
         return self.factors.trunc
 
 
-def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks, closure: str) -> float:
+def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks) -> float:
     """Largest residual of the density hierarchy rows n = 1..N as solved.
 
-    The top row carries the W-adjoint of the cell closure: nothing for
-    Dirichlet, sqrt(N+1) lift R_N for Neumann.  Every row has the diagonal
-    shift d_q R_n of the displaced basis.
+    Nothing lies above level N; every row has the diagonal shift d_q R_n of
+    the displaced basis.
     """
     N = levels.shape[0] - 1
     n = np.arange(1, N + 1)[:, None]
     up = levels @ blocks.lift.T                  # lift R_n
     above = np.zeros_like(levels[1:])            # d_q R_{n+1}, closed at the top
     above[:-1] = levels[2:] @ blocks.d_q.T
-    if closure == "neumann":
-        above[-1] = up[N]
     res = (np.sqrt(n) * up[:-1] + blocks.friction * n * levels[1:]
            + np.sqrt(n + 1) * above)
     if blocks.shift:
@@ -324,7 +320,7 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     flux = blocks.d_q @ (levels[1] + blocks.shift * levels[0])    # the n = 0 row
     diagnostics = {
         "top_level_ratio": float(np.abs(levels[N]).max()) / scale,
-        "hierarchy_residual": _density_residual(levels, blocks, trunc.closure) / scale,
+        "hierarchy_residual": _density_residual(levels, blocks) / scale,
         "normalization_residual": abs(L * levels[0, 0] - 1.0),
         "flux_residual": float(np.abs(flux).max()) / scale,
     }
@@ -453,7 +449,6 @@ class TransportResult:
     d_ibp_stability: float
     n_hermite: int
     n_fourier: int
-    closure: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -542,6 +537,7 @@ def _level_pairs(x: np.ndarray, y: np.ndarray, metric: np.ndarray) -> np.ndarray
     return np.einsum("ns,ns->n", x * metric, y)
 
 
+@one_thread()
 def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
                       params: ModelParams) -> TransportResult:
     """Diffusion coefficient from the level-pairing formula plus the
@@ -574,7 +570,6 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
         d_ibp_stability=stability,
         n_hermite=N,
         n_fourier=phi.n_fourier,
-        closure=density.trunc.closure,
         diagnostics=diagnostics,
     )
 
@@ -730,8 +725,8 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
             try:
                 answer = solve(n)
             except SolverError:
-                # below a working truncation the hierarchy closure is often
-                # singular or loses solvability; retry larger before giving up
+                # below a working truncation a Schur complement is often
+                # singular or solvability is lost; retry larger before giving up
                 if i + 1 < len(rungs):
                     continue
                 raise

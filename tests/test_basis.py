@@ -373,8 +373,6 @@ def test_truncation_spec_validation():
         TruncationSpec(1, 4)
     with pytest.raises(ValueError):
         TruncationSpec(4, 0)
-    with pytest.raises(ValueError):
-        TruncationSpec(4, 4, closure="robin")
     spec = TruncationSpec(8, 1)
     with pytest.raises(ValueError):
         spec.check_potential(PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.5)))

@@ -75,3 +75,15 @@ def test_main_pins_for_the_whole_call(two_threads, monkeypatch, tmp_path):
                      "--count", "2", "--out", str(tmp_path / "t.csv")]) == 0
     assert seen == [[1, 1]] * 2
     assert _counts() == [2, 2]
+
+
+def test_compute_diffusion_does_not_depend_on_the_thread_count(two_threads):
+    # the gradient-squared quadrature's gemms round differently on two threads
+    params = ModelParams(gamma=0.5, beta=5.0, force=1.5,
+                         potential=PeriodicPotential.cosine(1.0, 1.0))
+    trunc = TruncationSpec(384, 24)
+    free = transport.solve_transport(params, trunc)
+    with blas.one_thread():
+        pinned = transport.solve_transport(params, trunc)
+    assert free.d_ibp == pinned.d_ibp
+    assert free.d_ibp_stability == pinned.d_ibp_stability

@@ -209,9 +209,15 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("overdamped", {"trunc": {"n_fourier": "x"}}),
     ("transport", {"potential": {"L": 1.0, "cosine": [0.2]}}),
     ("transport", {"trunc": {"n_hermit": 8, "n_fourier": 4}}),
-    ("transport", {"trunc": {"closure": "robin"}}),
+    ("transport", {"trunc": {"closure": "neumann"}}),
     ("transport", {"sweep": {"cnt": 2}}),
     ("mc", {"mc": dict(_MC_SMALL, n_trajectories=8)}),
+    ("transport", {"sweep": {"count": True}}),
+    ("transport", {"gamma": True}),
+    ("transport", {"potential": {"L": True}}),
+    ("transport", {"potential": {"L": 1.0, "cos": [True]}}),
+    ("transport", {"trunc": {"n_hermite": 8, "n_fourier": True}}),
+    ("mc", {"mc": dict(_MC_SMALL, seed=True)}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
         "order", "orders", "order-zero", "orders-below-one", "orders-above-order",
         "mc-n-traj",
@@ -219,7 +225,9 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
         "mc-negative-seed",
         "overdamped-n-fourier",
         "potential-unknown-key", "trunc-unknown-key", "trunc-closure",
-        "sweep-unknown-key", "mc-unknown-key"])
+        "sweep-unknown-key", "mc-unknown-key",
+        "sweep-count-bool", "gamma-bool", "potential-L-bool", "potential-cos-bool",
+        "trunc-n-fourier-bool", "mc-seed-bool"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -355,6 +363,16 @@ def test_fig_preset_smoke(tmp_path):
     u_o = stratonovich_drift(PeriodicPotential.cosine(1.0, 1.0), 5.0, 0.5)
     assert 50.0 * rows[-1]["U"] == pytest.approx(u_o, rel=0.03)
     assert rows[0]["U"] > rows[-1]["U"] > 0
+
+
+def test_fig_suffix_is_only_the_trailing_csv(tmp_path, monkeypatch):
+    # an earlier ".csv" in the path is a directory name, not the suffix
+    monkeypatch.setattr(cli, "FIG_PRESETS", {"tiny": [
+        ("overdamped", {"sweep": {"min": 0.0, "max": 1.0, "count": 2}}, "a")]})
+    folder = tmp_path / "runs.csv.d"
+    folder.mkdir()
+    assert main(["fig", "tiny", "--out", str(folder / "fig.csv")]) == 0
+    assert len(parse_report(str(folder / "fig_a.csv"))) == 2
 
 
 def test_unknown_preset_rejected(tmp_path):
