@@ -117,14 +117,19 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def _number(kind, value, name: str):
     """kind(value), with a value that is no number reported as a config error.
 
-    A bool is no number here, although int(True) is 1.
+    A bool is no number here, although int(True) is 1.  An integer key takes
+    only an integral value: 64 and 64.0 both read as 64, but 16.9 is a config
+    error where int() would truncate it to 16.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _build_potential(spec: dict) -> PeriodicPotential:
@@ -312,31 +317,34 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     The points are independent, so with three points or more, two CPUs or
     more, ``os.fork`` and every OpenBLAS copy on one thread (as
     :func:`main` sets it; forked BLAS thread pools lose), they are shared out
-    to processes.  The first point runs here first: the adaptive engines'
-    point functions carry their converged truncation to the next point
-    (``_Continuation``), so every forked helper starts at that rung instead
-    of climbing the ladder from n0 (on a 2-core Xeon, 0.6 s against 0.2 s
-    a point at gamma = 0.01).  The other points are cut into one contiguous
-    chunk per CPU, because neighbouring points need about the same
-    truncation and continuation pays off along a run of them.  This process solves the
-    first chunk, forked helpers the others, and each helper sends its rows
-    back pickled through a pipe.  A helper that dies, or sends no valid
-    rows, has its chunk solved here again, to the same rows.  Helpers are
-    killed and reaped on every way out.
+    to processes.  The values are cut into one contiguous chunk per CPU,
+    because neighbouring points need about the same truncation and the
+    adaptive engines' point functions carry their converged truncation to
+    the next point (``_Continuation``).  The helpers are forked before this
+    process solves anything, so every chunk climbs the ladder from n0 at its
+    own first point.  Each chunk after the first costs one more climb of CPU
+    time (0.36-0.49 s at gamma = 0.01, against 0.12-0.21 s for a continued
+    point, on a 2-core Xeon).  That is cheaper in wall time than solving
+    one first point before the fork, which leaves the other CPUs idle for a
+    whole climb: it saves about one point per sweep.  Continued rows are
+    the rows a fresh ladder gives, so the split does not change them.  This
+    process solves the first chunk, forked helpers the others, and each
+    helper sends its rows back pickled through a pipe.  A helper that dies,
+    or sends no valid rows, has its chunk solved here again, to the same
+    rows.  Helpers are killed and reaped on every way out.
     """
     values = list(values)
-    rows = [_point_row(point_fn, v, column) for v in values[:1]]
-    rest = values[1:]
-    n = min(_cpu_count(), len(rest))     # below 2: fewer than 3 points or 2 CPUs
-    if n < 2 or not hasattr(os, "fork") or not single_threaded():
-        return rows + [_point_row(point_fn, v, column) for v in rest]
+    n = min(_cpu_count(), len(values))
+    if len(values) < 3 or n < 2 or not hasattr(os, "fork") or not single_threaded():
+        return [_point_row(point_fn, v, column) for v in values]
 
-    chunks = [rest[len(rest) * i // n : len(rest) * (i + 1) // n] for i in range(n)]
+    chunks = [values[len(values) * i // n : len(values) * (i + 1) // n]
+              for i in range(n)]
     helpers = []
     try:
         for chunk in chunks[1:]:
             helpers.append(_start_helper(point_fn, chunk, column))
-        rows += [_point_row(point_fn, v, column) for v in chunks[0]]
+        rows = [_point_row(point_fn, v, column) for v in chunks[0]]
         for chunk, helper in zip(chunks[1:], helpers):
             got = _helper_rows(helper[1], len(chunk)) if helper else None
             rows += got if got is not None else \

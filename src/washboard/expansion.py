@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import ModelParams
 from .basis import (
@@ -69,8 +68,8 @@ __all__ = [
 # Operator assembly
 # ---------------------------------------------------------------------------
 
-def assemble_generator(params: ModelParams, trunc: TruncationSpec) -> sp.csr_matrix:
-    """Sparse matrix of -L on stacked level coefficients.
+def assemble_generator(params: ModelParams, trunc: TruncationSpec):
+    """Sparse CSR matrix of -L on stacked level coefficients.
 
     Level m couples to m-1 and m+1 through d/dq and the tilt drift; the
     Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  With
@@ -89,8 +88,11 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec) -> sp.csr_mat
     not.  Each value is the same floating-point expression, evaluated in the
     same order, as in a block-by-block build, so ``indptr``, ``indices`` and
     ``data`` equal that build's bit for bit (for finite level factors, i.e.
-    beta (N+1) below the float range).
+    beta (N+1) below the float range).  ``scipy.sparse`` is imported here,
+    so that importing the package does not load it.
     """
+    import scipy.sparse as sp
+
     blocks = hierarchy_blocks(params, trunc)
     N, size = trunc.n_hermite, blocks.size
     n = (N + 1) * size

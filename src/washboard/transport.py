@@ -126,17 +126,14 @@ class HierarchyBlocks:
         return self.d_q.shape[0]
 
     @cached_property
-    def _shift_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of d_q's 2M nonzeros and shift times their values."""
-        flat = np.flatnonzero(self.d_q)
-        return flat, self.shift * self.d_q.take(flat)
+    def _shift_block(self) -> np.ndarray:
+        return self.shift * self.d_q
 
     def add_shift(self, g: np.ndarray) -> np.ndarray:
-        """g += shift d_q in place, through d_q's 2M nonzeros (g is left as it
-        is at p0 = 0)."""
+        """g += shift d_q in place, one dense add (g is left as it is at
+        p0 = 0)."""
         if self.shift:
-            flat, v = self._shift_entries
-            g.put(flat, g.take(flat) + v)
+            g += self._shift_block
         return g
 
 
@@ -176,16 +173,17 @@ class HierarchyFactors:
     G_N = Q_N.  ``bottom`` is the level-0 block
     G_0 = Q_0 - Q_0^- G_1^{-1} Q_1^+ left after the elimination,
     Q_0 = sqrt(beta) p0 d_q; it is singular, with column 0
-    exactly zero (constants solve the homogeneous problem).  ``params`` and
-    ``trunc`` record the problem the factors belong to, ``blocks`` the basis.
-    ``inverses`` is None in the factors :func:`solve_transport` keeps past
-    the cell solve.
+    exactly zero (constants solve the homogeneous problem).  It is a copy
+    of ``inverses[0]``, the scratch slot G_0 was built in, so dropping
+    ``inverses`` frees the whole stack.  ``params`` and ``trunc`` record the
+    problem the factors belong to, ``blocks`` the basis.  ``inverses`` is
+    None in the factors :func:`solve_transport` keeps past the cell solve.
     """
 
     params: ModelParams
     trunc: TruncationSpec
     blocks: HierarchyBlocks = field(repr=False)
-    inverses: np.ndarray | None = field(repr=False)   # [n] = G_n^{-1}, n = 1..N; [0] unused
+    inverses: np.ndarray | None = field(repr=False)   # [n] = G_n^{-1}, n = 1..N; [0] G_0
     bottom: np.ndarray = field(repr=False)
 
     def solve(self, n: int, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -201,10 +199,16 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
 
     With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
     is G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q, starting from G_N = Q_N, with
-    the diagonal block Q_n = shift d_q - gamma sqrt(beta) n.  ``blocks``
-    defaults to :func:`displaced_blocks`; blocks centred elsewhere than
-    F/gamma raise ValueError.  Runs on one BLAS thread (:mod:`washboard.blas`):
-    threading kernels on blocks this small costs more than it gains.
+    the diagonal block Q_n = shift d_q - gamma sqrt(beta) n.  Each G_n is
+    built in slot n of the returned stack and inverted there without a copy:
+    the slot's transpose is an F-ordered view, so LAPACK factors G_n^T in
+    place (getrf) and overwrites it with G_n^{-T} (getri), which read in C
+    order is G_n^{-1}.  The next step's product is written into slot n-1,
+    so slot 0 ends as scratch holding G_0, of which ``bottom`` is a copy.
+    ``blocks`` defaults to :func:`displaced_blocks`; blocks centred elsewhere
+    than F/gamma raise ValueError.  Runs on one BLAS thread
+    (:mod:`washboard.blas`): threading kernels on blocks this small costs
+    more than it gains.
     """
     if blocks is None:
         blocks = displaced_blocks(params, trunc)
@@ -216,20 +220,21 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     friction = blocks.friction
     lwork = int(dgetri_lwork(size)[0])
     inverses = np.empty((N + 1, size, size))
-    g = np.zeros((size, size))
+    inverses[N] = 0.0
+    blocks.add_shift(inverses[N])
     for n in range(N, 0, -1):
-        g.reshape(-1)[:: size + 1] -= friction * n     # g is C-ordered: a view
-        blocks.add_shift(g)
-        lu, piv, info = dgetrf(g, overwrite_a=1)
+        g = inverses[n]
+        g.reshape(-1)[:: size + 1] -= friction * n     # a view of the diagonal
+        lu, piv, info = dgetrf(g.T, overwrite_a=1)
         _check_info(info, f"singular Schur complement at hermite level n={n}; "
                           "raise n_hermite or check parameters")
-        inv, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=1)
+        _, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=1)
         _check_info(info, f"singular Schur complement at hermite level n={n}")
-        inverses[n] = inv
-        g = blocks.drift @ (inv @ blocks.d_q)
-        g *= -n
+        below = np.matmul(blocks.drift, g @ blocks.d_q, out=inverses[n - 1])
+        below *= -n
+        blocks.add_shift(below)
     return HierarchyFactors(params=params, trunc=trunc, blocks=blocks,
-                            inverses=inverses, bottom=blocks.add_shift(g))
+                            inverses=inverses, bottom=inverses[0].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,15 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("transport", {"potential": {"L": 1.0, "cos": [True]}}),
     ("transport", {"trunc": {"n_hermite": 8, "n_fourier": True}}),
     ("mc", {"mc": dict(_MC_SMALL, seed=True)}),
+    ("transport", {"trunc": {"n_hermite": 16.9, "n_fourier": 4}, "adaptive": False}),
+    ("transport", {"trunc": {"n_hermite": 16, "n_fourier": 4.5}, "adaptive": False}),
+    ("transport", {"sweep": {"count": 1.7, "min": 0.5, "max": 0.5}}),
+    ("expand", {"order": 5.5}),
+    ("expand", {"order": 5, "orders": [1, 2.5]}),
+    ("mc", {"mc": dict(_MC_SMALL, n_steps=200.5)}),
+    ("mc", {"mc": dict(_MC_SMALL, n_burnin=10.5)}),
+    ("mc", {"mc": dict(_MC_SMALL, n_traj=4.5)}),
+    ("mc", {"mc": dict(_MC_SMALL, seed=0.5)}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
         "order", "orders", "order-zero", "orders-below-one", "orders-above-order",
         "mc-n-traj",
@@ -227,7 +236,10 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
         "potential-unknown-key", "trunc-unknown-key", "trunc-closure",
         "sweep-unknown-key", "mc-unknown-key",
         "sweep-count-bool", "gamma-bool", "potential-L-bool", "potential-cos-bool",
-        "trunc-n-fourier-bool", "mc-seed-bool"])
+        "trunc-n-fourier-bool", "mc-seed-bool",
+        "n-hermite-fractional", "n-fourier-fractional", "sweep-count-fractional",
+        "order-fractional", "orders-entry-fractional", "mc-n-steps-fractional",
+        "mc-n-burnin-fractional", "mc-n-traj-fractional", "mc-seed-fractional"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -236,6 +248,19 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integer_keys_take_integral_values_only(tmp_path, capsys, flat_config):
+    # int(16.9) is 16: a fractional integer key must not be truncated silently
+    cfg = json.loads(open(flat_config).read())
+    path, out = tmp_path / "c.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(dict(cfg, trunc={"n_hermite": 16.9, "n_fourier": 2})))
+    assert main(["transport", "--config", str(path), "--out", str(out)]) == 1
+    assert "n_hermite must be an integer, got 16.9" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(cfg, trunc={"n_hermite": 16.0, "n_fourier": 2})))
+    assert main(["transport", "--config", str(path), "--out", str(out),
+                 "--count", "1"]) == 0
+    assert parse_report(str(out))[0]["n_hermite"] == 16
 
 
 def test_unknown_section_key_is_named(tmp_path, capsys):
@@ -443,9 +468,8 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     assert _transport_bytes(tmp_path, config, "split.csv") == continued
 
 
-# Five forces, 0 .. 1.2: the first runs before the split, the other four are
-# cut into chunks of 2+2 (two CPUs) or 1+1+2 (three), so 1.2 always lies in
-# the last helper's chunk.
+# Five forces, 0 .. 1.2, cut into contiguous chunks of 2+3 (two CPUs) or
+# 1+2+2 (three), so 1.2 always lies in the last helper's chunk.
 _SPLIT_CONFIG = {"gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
                  "trunc": {"n_hermite": 64, "n_fourier": 16},
                  "sweep": {"variable": "force", "min": 0.0, "max": 1.2, "count": 5}}
@@ -528,7 +552,7 @@ def test_dead_helper_chunk_is_solved_again(tmp_path, monkeypatch, pinnable):
 
     def die_in_helper(params):
         if os.getpid() != parent and params.force == 1.2:
-            os._exit(3)             # the helper's second point, chunk 0.9, 1.2
+            os._exit(3)             # the helper's third point, chunk 0.6, 0.9, 1.2
 
     _patch_solve(monkeypatch, die_in_helper)
     forks = _count_forks(monkeypatch)
@@ -537,6 +561,32 @@ def test_dead_helper_chunk_is_solved_again(tmp_path, monkeypatch, pinnable):
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_helpers_are_forked_before_the_first_solve(tmp_path, monkeypatch, pinnable):
+    # every chunk climbs the ladder from n0 at its own first point: the
+    # helper is forked before this process's first solve returns, and the
+    # helper's first solve is given no start rung
+    log = tmp_path / "solves.jsonl"
+    forks = _count_forks(monkeypatch)
+    solve = cli.solve_transport
+
+    def logged(params, trunc, adaptive, start):
+        res = solve(params, trunc, adaptive, start)
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), params.force, start, len(forks)]) + "\n")
+        return res
+
+    monkeypatch.setattr(cli, "solve_transport", logged)
+    code, _ = _split_run(tmp_path, monkeypatch, "transport", 2, "split.csv")
+    assert code == 0 and len(forks) == 1
+    solves = [json.loads(line) for line in log.read_text().splitlines()]
+    here = [s for s in solves if s[0] == os.getpid()]
+    helper = [s for s in solves if s[0] == forks[0]]
+    assert [s[1] for s in here] == pytest.approx([0.0, 0.3])
+    assert [s[1] for s in helper] == pytest.approx([0.6, 0.9, 1.2])
+    assert here[0][2] is None and here[0][3] == 1
+    assert helper[0][2] is None
 
 
 def test_sweep_runs_serially_without_fork(tmp_path, monkeypatch):

@@ -172,16 +172,16 @@ def test_chain_bits_at_gamma1_n64():
     # from f_j and phi_j solved on the level recursion of factor_hierarchy
     # (float.hex, OpenBLAS on x86-64)
     chain = build_chain(_params(), TruncationSpec(64, 24), 9)
-    v = ["0x0.0p+0", "0x1.ec6e526ee0277p-13", "-0x1.eab061791150ap-66",
-         "0x1.51a14e98d781cp-12", "-0x1.56b7b302ae4e1p-65",
-         "0x1.8da6bfe05fd2cp-13", "-0x1.9f7f39baf2306p-66",
-         "0x1.4c8fa926e4729p-14", "-0x1.65a3fb6d759a6p-67",
-         "0x1.c19e1de2a4c15p-16"]
-    v_phi = ["0x0.0p+0", "0x1.ec6e526ee0fa0p-13", "0x1.36baab6722d26p-61",
-             "0x1.51a14e98d990ap-12", "0x1.40443e1561912p-62",
-             "0x1.8da6bfe065741p-13", "0x1.15643764cc9acp-63",
-             "0x1.4c8fa926e53b5p-14", "0x1.6cecf57639a81p-65",
-             "0x1.c19e1de2a7a1fp-16"]
+    v = ["0x0.0p+0", "0x1.ec6e526ede539p-13", "-0x1.eab061790f646p-66",
+         "0x1.51a14e98d7c16p-12", "-0x1.56b7b302ae193p-65",
+         "0x1.8da6bfe06205fp-13", "-0x1.9f7f39baf044cp-66",
+         "0x1.4c8fa926e5ae6p-14", "-0x1.65a3fb6d7716ap-67",
+         "0x1.c19e1de2ab6d6p-16"]
+    v_phi = ["0x0.0p+0", "0x1.ec6e526eded7ep-13", "0x1.36baab6722d8bp-61",
+             "0x1.51a14e98d9cc5p-12", "0x1.40443e156193fp-62",
+             "0x1.8da6bfe065e9dp-13", "0x1.15643764ccaa2p-63",
+             "0x1.4c8fa926e59a1p-14", "0x1.6cecf57639acep-65",
+             "0x1.c19e1de2a830ep-16"]
     assert [x.hex() for x in chain.v.tolist()] == v
     assert [x.hex() for x in chain.v_phi_form.tolist()] == v_phi
 

@@ -37,6 +37,13 @@ def test_import_loads_no_sparse_solver():
     assert not _loaded_by_import("scipy.sparse.linalg")
 
 
+def test_import_loads_no_sparse_matrices():
+    # only the assembled reference operator builds a sparse matrix, and it
+    # imports scipy.sparse when called; pytest's own warning filters import
+    # it into this process, so the check runs in a fresh one
+    assert not _loaded_by_import("scipy.sparse")
+
+
 def test_import_loads_no_multiprocessing():
     # the Monte Carlo noise helper is a bare os.fork; multiprocessing would
     # add its import to every process that imports the package

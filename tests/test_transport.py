@@ -236,8 +236,7 @@ def test_tilted_density_is_w_adjoint_null_vector():
     assert np.abs(res).max() <= 1e-10 * np.abs(R).max()
 
 
-@pytest.mark.parametrize("top", ["dirichlet"])   # nothing above level N
-def test_density_residual_is_for_the_solved_closure(top):
+def test_density_residual_is_for_the_solved_hierarchy():
     # N = 12 leaves the top levels large, so a residual taken with another
     # top row than the one solved would read about 2e-2
     density = solve_stationary_fp(_params(force=0.5), TruncationSpec(12, 16))
@@ -672,11 +671,11 @@ def test_ladder_above_the_cap_is_n0_alone():
     assert transport._ladder(transport._N_HERMITE_MAX) == [transport._N_HERMITE_MAX]
 
 
-@pytest.mark.parametrize("top", ["dirichlet"])   # nothing above level N
-def test_factors_equal_the_dense_schur_step(top):
-    # the in-place step (a strided view of the diagonal, the shift through
-    # d_q's nonzeros) builds G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q as the
-    # dense expression does, and the bottom block bit for bit
+def test_factors_equal_the_dense_schur_step():
+    # the in-place step (a strided view of the diagonal, the product written
+    # into the next slot, LAPACK on the slot's transpose) builds
+    # G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q as the dense expression does,
+    # and the bottom block bit for bit
     params = _params(gamma=0.3, beta=2.0, force=0.4)
     trunc = TruncationSpec(12, 6)
     f = factor_hierarchy(params, trunc)
@@ -704,3 +703,29 @@ def test_fig1_small_friction_answers_at_1536_are_converged(frac):
     d_l = 1.0 / (p.beta * p.gamma)
     verdict = lambda r: abs(r.d_primary - r.d_ibp) <= 1e-6 * d_l
     assert verdict(res) == verdict(ref)
+
+
+def test_levels_are_factored_in_the_returned_stack(monkeypatch):
+    # each G_n is factored and inverted inside slot n of the stack it is
+    # returned in (f2py would copy a view that is not F-ordered), and
+    # bottom is a copy, so dropping the stack frees all of it
+    calls = []
+    getrf, getri = transport.dgetrf, transport.dgetri
+
+    def recorded(lapack, name):
+        def call(a, *args, **kwargs):
+            out = lapack(a, *args, **kwargs)
+            calls.append((name, a, out[0]))
+            return out
+        return call
+
+    monkeypatch.setattr(transport, "dgetrf", recorded(getrf, "getrf"))
+    monkeypatch.setattr(transport, "dgetri", recorded(getri, "getri"))
+    f = factor_hierarchy(_params(gamma=0.3, beta=2.0, force=0.4), TruncationSpec(12, 6))
+    assert [name for name, _, _ in calls] == ["getrf", "getri"] * 12
+    for n, i in zip(range(12, 0, -1), range(0, 24, 2)):
+        for _, a, out in calls[i : i + 2]:
+            assert np.shares_memory(a, f.inverses[n])
+            assert np.shares_memory(out, f.inverses[n])
+    assert not np.shares_memory(f.bottom, f.inverses)
+    assert np.array_equal(f.bottom, f.inverses[0])
