@@ -315,10 +315,14 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     levels = np.empty((N + 1, blocks.size))
     levels[0] = R0[:, 0]
     levels[1] = S0 @ levels[0]
+    root = np.sqrt(np.arange(N + 1))
+    inverses_t = factors.inverses.transpose(0, 2, 1)          # G_n^{-T}, views
+    b = np.empty(blocks.size)
     for n in range(2, N + 1):
-        b = w_lift @ levels[n - 1]
-        b *= np.sqrt(n)
-        levels[n] = factors.solve(n, b, transpose=True) / w
+        np.dot(w_lift, levels[n - 1], out=b)
+        b *= root[n]
+        np.dot(inverses_t[n], b, out=levels[n])
+        levels[n] /= w
 
     drift = blocks.p0 + L * levels[1, 0] / np.sqrt(params.beta)
     scale = max(float(np.abs(levels).max()), 1e-300)
@@ -393,14 +397,24 @@ def solve_levels(factors: HierarchyFactors, rhs: np.ndarray, left_null: np.ndarr
     Phi_n = G_n^{-1} (y_n - sqrt(n) d_q Phi_{n-1}).  Returns the levels with
     Phi_0^0 = 0, the coefficient of ``left_null`` and the solvability defect
     |left_null . y_0| / (|left_null| |y_0|).
+
+    Each level is two 49x49 matvecs at M = 24, so the loops keep Python's
+    share small: the square roots come from one table, each product is
+    written by ``np.dot(..., out=)`` into a buffer made once, and the
+    inverses are indexed directly.  The arithmetic, and so every bit, is
+    the plain level-by-level expression's.
     """
     blocks = factors.blocks
+    inverses, drift, d_q = factors.inverses, blocks.drift, blocks.d_q
     N = factors.trunc.n_hermite
     top = rhs.shape[0] - 1
+    root = np.sqrt(np.arange(N + 1))
+    u, t = np.empty(blocks.size), np.empty(blocks.size)
     y = np.array(rhs, dtype=float)
     for n in range(top - 1, -1, -1):
-        t = blocks.drift @ factors.solve(n + 1, y[n + 1])
-        t *= -np.sqrt(n + 1)
+        np.dot(inverses[n + 1], y[n + 1], out=u)
+        np.dot(drift, u, out=t)
+        t *= -root[n + 1]
         y[n] += t
 
     defect = abs(float(left_null @ y[0]))
@@ -419,11 +433,11 @@ def solve_levels(factors: HierarchyFactors, rhs: np.ndarray, left_null: np.ndarr
     coefficient = float(levels[0, 0])
     levels[0, 0] = 0.0
     for n in range(1, N + 1):
-        b = blocks.d_q @ levels[n - 1]
-        b *= -np.sqrt(n)
+        np.dot(d_q, levels[n - 1], out=t)
+        t *= -root[n]
         if n <= top:
-            b += y[n]
-        levels[n] = factors.solve(n, b)
+            t += y[n]
+        np.dot(inverses[n], t, out=levels[n])
     return levels, coefficient, defect / scale
 
 
@@ -487,8 +501,12 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     coefficient noise catastrophically, so the Gauss rule is restricted to
     |x| <= mu + c where mu covers the density's momentum support.  The cutoff
     c is scanned and the value read off the stability plateau; the plateau
-    spread is returned as a quality measure.  The integrand is tabulated once,
-    on the widest cutoff, and each narrower one sums a subset of its rows.
+    spread is returned as a quality measure.  Only cutoffs that keep
+    different node sets are compared: two that keep the same nodes give the
+    same value, and their zero difference would read as a perfect plateau.
+    With fewer than two distinct node sets the spread is inf.  The integrand
+    is tabulated once, on the widest cutoff, and each narrower one sums a
+    subset of its rows.
     The rule runs in x = sqrt(beta) (p - p0), the variable of the fields'
     basis, so mu = sqrt(beta) max(|U - p0|, |F/gamma - p0|).
     """
@@ -517,10 +535,15 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     vd = H @ dphi @ ftab
     vr = H @ Rt @ ftab
     integrand = vd * vd * vr
-    vals = []
+    vals, kept = [], -1
     for c in _IBP_CUTOFFS:
         keep = np.abs(x) <= mu + c
+        if np.count_nonzero(keep) == kept:
+            continue                    # the same nodes as the narrower cutoff
+        kept = np.count_nonzero(keep)
         vals.append(gamma / beta * float((wp[keep] @ integrand[keep]) @ wq))
+    if len(vals) < 2:
+        return vals[-1], np.inf
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     best = int(np.argmin(diffs))
     return vals[best + 1], diffs[best]

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import os
 import pathlib
@@ -134,6 +136,19 @@ def test_expand_at_512_levels_is_finite(tmp_path):
     series = [k for k in rows[0] if k.startswith(("U_", "D_"))]
     assert series and all(np.isfinite(r[k]) for r in rows for k in series)
     assert rows[0]["D_full_order_1"] == pytest.approx(rows[0]["D_spectral"], rel=1e-9)
+
+
+def test_einstein_check_is_exact_at_zero_tilt(tmp_path):
+    # fig6 at gamma=1, h = 0.006: the three-point difference left gap/D at
+    # -4.9e-5 at F = 0, where the Einstein relation is exact
+    [(_, cfg, _)] = [e for e in FIG_PRESETS["fig6"] if e[2] == "gamma1"]
+    config, out = tmp_path / "fig6.json", str(tmp_path / "fig6.csv")
+    config.write_text(json.dumps(cfg))
+    assert main(["einstein-check", "--config", str(config), "--out", out,
+                 "--min", "0", "--max", "1.2", "--count", "2"]) == 0
+    row = parse_report(out)[0]
+    assert row["F"] == 0.0
+    assert abs(row["gap"]) <= 1e-7 * row["D_spectral"]
 
 
 def test_einstein_check_gap(tmp_path, cos_config):
@@ -475,8 +490,8 @@ _SPLIT_CONFIG = {"gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]
                  "sweep": {"variable": "force", "min": 0.0, "max": 1.2, "count": 5}}
 
 
-def _split_run(tmp_path, monkeypatch, command, cpus, name):
-    """Exit code and CSV bytes of ``command`` on _SPLIT_CONFIG at ``cpus``;
+def _split_main(tmp_path, monkeypatch, command, cpus, name):
+    """Exit code and CSV path of ``command`` on _SPLIT_CONFIG at ``cpus``;
     a sweep still waiting on a helper after 30 s fails (exit code 2)."""
     def hung(signum, frame):
         raise TimeoutError("the sweep waited 30 s on its helpers")
@@ -491,6 +506,12 @@ def _split_run(tmp_path, monkeypatch, command, cpus, name):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out
+
+
+def _split_run(tmp_path, monkeypatch, command, cpus, name):
+    """Exit code and CSV bytes of :func:`_split_main`."""
+    code, out = _split_main(tmp_path, monkeypatch, command, cpus, name)
     return code, out.read_bytes()
 
 
@@ -587,6 +608,86 @@ def test_helpers_are_forked_before_the_first_solve(tmp_path, monkeypatch, pinnab
     assert [s[1] for s in helper] == pytest.approx([0.6, 0.9, 1.2])
     assert here[0][2] is None and here[0][3] == 1
     assert helper[0][2] is None
+
+
+def _log_chain(monkeypatch, log, action=lambda: None):
+    """Log every ``cli.build_chain`` call as ["chain", pid, forks so far] and
+    every CLI solve as ["solve", pid, force] to ``log``; ``action`` runs at
+    the chain's start."""
+    forks = _count_forks(monkeypatch)
+    build = cli.build_chain
+
+    def write(entry):
+        with open(log, "a") as fh:
+            fh.write(json.dumps(entry) + "\n")
+
+    def logged_chain(*args):
+        write(["chain", os.getpid(), len(forks)])
+        action()
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_chain", logged_chain)
+    _patch_solve(monkeypatch, lambda params: write(["solve", os.getpid(), params.force]))
+    return forks
+
+
+def _entries(log):
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def test_chain_is_built_between_the_fork_and_the_first_solve(
+        tmp_path, monkeypatch, pinnable):
+    log = tmp_path / "log.jsonl"
+    forks = _log_chain(monkeypatch, log)
+    code, _ = _split_run(tmp_path, monkeypatch, "expand", 2, "split.csv")
+    assert code == 0 and len(forks) == 1
+    here = [e for e in _entries(log) if e[1] == os.getpid()]
+    helper = [e for e in _entries(log) if e[1] == forks[0]]
+    assert here[0] == ["chain", os.getpid(), 1]
+    assert [e[0] for e in here[1:]] == ["solve", "solve"]
+    assert [e[0] for e in helper] == ["solve"] * 3
+
+
+def test_chain_failure_after_the_fork_kills_the_helpers(tmp_path, monkeypatch, pinnable):
+    def fail():
+        raise transport.SolverError("injected chain failure")
+
+    forks = _log_chain(monkeypatch, tmp_path / "log.jsonl", fail)
+    code, out = _split_main(tmp_path, monkeypatch, "expand", 2, "split.csv")
+    assert code == 2 and not out.exists()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("keeps_hook", [True, False])
+def test_expand_through_a_wrapped_run_sweep(tmp_path, monkeypatch, pinnable, keeps_hook):
+    # shaped like a tracer's wrapper: three positional arguments forwarded,
+    # the point function wrapped with functools.wraps (which copies its
+    # attributes) or, when ``keeps_hook`` is false, with a plain lambda
+    plain = _split_run(tmp_path, monkeypatch, "expand", 2, "plain.csv")
+    log = tmp_path / "log.jsonl"
+    forks = _log_chain(monkeypatch, log)
+    run_sweep = cli.run_sweep
+
+    def wrapped_run_sweep(point_fn, values, workers=4):
+        point = (functools.wraps(point_fn)(lambda v: point_fn(v)) if keeps_hook
+                 else lambda v: point_fn(v))
+        return run_sweep(point, values, workers)
+
+    monkeypatch.setattr(cli, "run_sweep", functools.wraps(run_sweep)(wrapped_run_sweep))
+    assert _split_run(tmp_path, monkeypatch, "expand", 2, "wrapped.csv")[1] == plain[1]
+    assert [e for e in _entries(log) if e[0] == "chain"] == [["chain", os.getpid(), 1]]
+    here = [e[0] for e in _entries(log) if e[1] == os.getpid()]
+    assert here == (["chain", "solve", "solve"] if keeps_hook
+                    else ["solve", "solve", "chain"])
+
+
+def test_run_sweep_takes_three_arguments():
+    # wrappers of run_sweep (a benchmark tracer's among them) forward exactly
+    # these three; a new argument would make them fail
+    assert list(inspect.signature(cli.run_sweep).parameters) == \
+        ["point_fn", "values", "column"]
 
 
 def test_sweep_runs_serially_without_fork(tmp_path, monkeypatch):

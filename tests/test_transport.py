@@ -439,6 +439,18 @@ def test_dual_formula_agreement():
         assert abs(res.d_primary - res.d_ibp) <= 1e-6 * d_l
 
 
+def test_ibp_stability_compares_distinct_node_sets(monkeypatch):
+    # N=16, M=4, not adaptive: the 40-node rule keeps all 40 nodes inside
+    # both of the two widest cutoffs, whose equal values read as a plateau
+    # of spread exactly 0 (D_primary 0.0053 against D_ibp 5.06)
+    params = _params(gamma=1.0, beta=5.0, force=0.5)
+    res = solve_transport(params, TruncationSpec(16, 4), adaptive=False)
+    assert res.d_ibp_stability > 0.0
+    monkeypatch.setattr(transport, "_IBP_CUTOFFS", (11.0, 12.0))   # one node set
+    res = solve_transport(params, TruncationSpec(16, 4), adaptive=False)
+    assert res.d_ibp_stability == np.inf
+
+
 def test_transport_reflection_symmetry():
     params = _params(gamma=1.0, beta=5.0, force=0.7)
     trunc = TruncationSpec(160, 24)
