@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .model import ModelParams, PeriodicPotential
 
@@ -53,7 +52,6 @@ __all__ = [
     "pack_complex",
     "unpack_complex",
     "fourier_table",
-    "gauss_maxwell_nodes",
     "gibbs_gram",
     "gibbs_inner",
 ]
@@ -105,15 +103,6 @@ def hermite_table(n_max: int, x) -> np.ndarray:
     for n in range(1, n_max):
         T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
     return T.T
-
-
-def gauss_maxwell_nodes(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights for int f(p) rho_hat(p) dp, rho_hat the unit Maxwellian.
-
-    Weights sum to 1; exact for polynomials in p of degree <= 2n-1.
-    """
-    x, w = roots_hermitenorm(n)
-    return x / np.sqrt(beta), w / np.sqrt(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,13 @@ import functools
 import json
 import os
 import pickle
-import signal
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
 
+from ._fork import forked
 from .blas import one_thread, single_threaded
 from .model import ModelParams, PeriodicPotential, reference_scales
 from .basis import TruncationSpec
@@ -266,32 +267,10 @@ def _point_row(point_fn, value, column: str) -> dict:
     return row
 
 
-def _start_helper(point_fn, chunk: list, column: str) -> tuple[int, int] | None:
-    """Fork a process that solves ``chunk`` and writes its pickled rows to a
-    pipe; (pid, read end), or None when no process could be started."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:                    # the helper; it never returns
-        status = 1
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps([_point_row(point_fn, v, column) for v in chunk])
-            with open(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        except BaseException:
-            import traceback
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-    os.close(write_fd)              # so that the helper's exit reads as EOF
-    return pid, read_fd
+def _send_rows(point_fn, chunk: list, column: str, _, write_fd: int) -> None:
+    """A sweep helper's work: solve ``chunk``, then write its pickled rows."""
+    with open(write_fd, "wb", closefd=False) as fh:
+        pickle.dump([_point_row(point_fn, v, column) for v in chunk], fh)
 
 
 def _helper_rows(read_fd: int, count: int) -> list[dict] | None:
@@ -316,24 +295,25 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     the sweep continues.
 
     The points are independent, so with three points or more, two CPUs or
-    more, ``os.fork`` and every OpenBLAS copy on one thread (as
-    :func:`main` sets it; forked BLAS thread pools lose), they are shared out
-    to processes.  The values are cut into one contiguous chunk per CPU,
-    because neighbouring points need about the same truncation and the
-    adaptive engines' point functions carry their converged truncation to
-    the next point (``_Continuation``).  The helpers are forked before this
-    process solves anything, so every chunk climbs the ladder from n0 at its
-    own first point.  Each chunk after the first costs one more climb of CPU
-    time (0.36-0.49 s at gamma = 0.01, against 0.12-0.21 s for a continued
-    point, on a 2-core Xeon).  That is cheaper in wall time than solving
-    one first point before the fork, which leaves the other CPUs idle for a
-    whole climb: it saves about one point per sweep.  Continued rows are
-    the rows a fresh ladder gives, so the split does not change them.  This
-    process solves the first chunk, the smallest, and forked helpers the
-    others; each helper sends its rows back pickled through a pipe.  A
-    helper that dies, or sends no valid rows, has its chunk solved here
-    again, to the same rows.  Helpers are killed and reaped on every way
-    out, also when ``point_fn.alongside`` raises.
+    more and every OpenBLAS copy on one thread (as :func:`main` sets it;
+    forked BLAS thread pools lose), they are shared out to processes that
+    :mod:`washboard._fork` forks (see there for the caveats).  The values
+    are cut into one contiguous chunk per CPU, because neighbouring points
+    need about the same truncation and the adaptive engines' point functions
+    carry their converged truncation to the next point (``_Continuation``).
+    The helpers are forked before this process solves anything, so every
+    chunk climbs the ladder from n0 at its own first point.  Each chunk
+    after the first costs one more climb of CPU time (0.36-0.49 s at
+    gamma = 0.01, against 0.12-0.21 s for a continued point, on a 2-core
+    Xeon).  That is cheaper in wall time than solving one first point before
+    the fork, which leaves the other CPUs idle for a whole climb: it saves
+    about one point per sweep.  Continued rows are the rows a fresh ladder
+    gives, so the split does not change them.  This process solves the first
+    chunk, the smallest, and forked helpers the others; each helper sends
+    its rows back pickled through a pipe.  A helper that cannot be started,
+    dies or sends no valid rows has its chunk solved here, to the same rows.
+    Helpers are killed and reaped on every way out, also when
+    ``point_fn.alongside`` raises.
 
     ``point_fn.alongside``, when the point function has it, is a callable
     this process calls once with no arguments: after forking the helpers
@@ -348,29 +328,24 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     values = list(values)
     alongside = getattr(point_fn, "alongside", None)
     n = min(_cpu_count(), len(values))
-    if len(values) < 3 or n < 2 or not hasattr(os, "fork") or not single_threaded():
+    if len(values) < 3 or n < 2 or not single_threaded():
         if alongside is not None:
             alongside()
         return [_point_row(point_fn, v, column) for v in values]
 
     chunks = [values[len(values) * i // n : len(values) * (i + 1) // n]
               for i in range(n)]
-    helpers = []
-    try:
-        for chunk in chunks[1:]:
-            helpers.append(_start_helper(point_fn, chunk, column))
+    with ExitStack() as stack:
+        helpers = [stack.enter_context(
+                       forked(functools.partial(_send_rows, point_fn, chunk, column)))
+                   for chunk in chunks[1:]]
         if alongside is not None:
             alongside()
         rows = [_point_row(point_fn, v, column) for v in chunks[0]]
-        for chunk, helper in zip(chunks[1:], helpers):
-            got = _helper_rows(helper[1], len(chunk)) if helper else None
+        for chunk, ends in zip(chunks[1:], helpers):
+            got = _helper_rows(ends[0], len(chunk)) if ends else None
             rows += got if got is not None else \
                 [_point_row(point_fn, v, column) for v in chunk]
-    finally:
-        for pid, read_fd in filter(None, helpers):
-            os.kill(pid, signal.SIGKILL)     # one whose rows are read is exiting
-            os.close(read_fd)
-            os.waitpid(pid, 0)
     return rows
 
 

@@ -29,12 +29,8 @@ a thread because the step loop's ufuncs on a few hundred trajectories never
 release the GIL: a thread producer made the workload slower (2.55 s
 against 2.40 s on one thread), the helper faster (1.45 s).  The helper
 fills exactly as the caller would, so results are the same bits with or
-without it; where ``os.fork`` does not exist the caller fills each chunk
-itself.  Python 3.12 and later warn when a process with threads forks, and
-OpenBLAS starts threads at import; that warning was not seen, as only
-Python 3.11 was tried.  The same holds for the sweep helpers of
-:func:`washboard.cli.run_sweep`: they fork with BLAS pinned to one thread,
-but the pin leaves OpenBLAS's idle threads in place.
+without it; where no helper can be started the caller fills each chunk
+itself.  :mod:`washboard._fork` forks the helper and states the caveats.
 """
 
 from __future__ import annotations
@@ -42,12 +38,12 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import signal
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import forked
 from .model import ModelParams
 
 __all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate"]
@@ -130,64 +126,28 @@ def _noise_chunks(gens: list[np.random.Generator], n_steps: int, noise_amp: floa
     """
     n = len(gens)
     spans = [min(_CHUNK, n_steps - s) for s in range(0, n_steps, _CHUNK)]
-    draws_shape = (min(_BLOCK, n), _CHUNK)
-    if not hasattr(os, "fork"):
-        noise, draws = np.empty((_CHUNK, n)), np.empty(draws_shape)
-        for span in spans:
-            _fill(gens, noise[:span], draws, noise_amp)
-            yield noise[:span]
-        return
-
     slots = np.frombuffer(mmap.mmap(-1, 2 * _CHUNK * n * 8)).reshape(2, _CHUNK, n)
-    ready_r, ready_w = os.pipe()    # helper -> caller: chunk c is in slot c % 2
-    free_r, free_w = os.pipe()      # caller -> helper: that slot may be refilled
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if pid == 0:                    # the helper; it never returns
-        status = 1
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            draws = np.empty(draws_shape)
-            for c, span in enumerate(spans):
-                if c >= 2 and not os.read(free_r, 1):
-                    break           # the caller has gone
-                _fill(gens, slots[c % 2, :span], draws, noise_amp)
-                os.write(ready_w, b"\0")
-            status = 0
-        except BaseException:
-            import sys
-            import traceback
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
+    draws = np.empty((min(_BLOCK, n), _CHUNK))
 
-    # Without its own copy of ready_w, a helper's exit reads here as EOF.
-    os.close(ready_w)
-    os.close(free_r)
-    try:
+    def helper(free_r, ready_w):
+        # chunk c goes into slot c % 2, once the caller has freed that slot
         for c, span in enumerate(spans):
-            if not os.read(ready_r, 1):
+            if c >= 2 and not os.read(free_r, 1):
+                return              # the caller has gone
+            _fill(gens, slots[c % 2, :span], draws, noise_amp)
+            os.write(ready_w, b"\0")
+
+    with forked(helper) as ends:
+        for c, span in enumerate(spans):
+            if ends is None:        # no helper: fill each chunk here
+                _fill(gens, slots[c % 2, :span], draws, noise_amp)
+            elif not os.read(ends[0], 1):
                 raise NoiseHelperError(
                     f"noise helper exited before chunk {c} of {len(spans)}")
             yield slots[c % 2, :span]
-            if c + 2 < len(spans):
-                try:
-                    os.write(free_w, b"\0")
-                except BrokenPipeError:
-                    pass        # the helper has exited; the next read says so
-    finally:
-        # After the last chunk the helper is exiting anyway; after an error it
-        # may be mid-fill, so it is stopped rather than waited for.
-        os.kill(pid, signal.SIGKILL)
-        os.close(ready_r)
-        os.close(free_w)
-        os.waitpid(pid, 0)
+            if ends is not None and c + 2 < len(spans):
+                with suppress(BrokenPipeError):     # the next read says it died
+                    os.write(ends[1], b"\0")
 
 
 def simulate(config: McConfig) -> McEstimate:

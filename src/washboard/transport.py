@@ -47,6 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgesv, dgetrf, dgetri, dgetri_lwork, dgetrs
+from scipy.special import roots_hermitenorm
 
 from .blas import one_thread
 from .model import ModelParams
@@ -54,7 +55,6 @@ from .basis import (
     HermiteFourierField,
     TruncationSpec,
     fourier_table,
-    gauss_maxwell_nodes,
     hermite_table,
     packed_dq_matrix,
     packed_metric,
@@ -486,7 +486,8 @@ _IBP_CUTOFFS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
 def _gauss_maxwell_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the n_p-point Gauss rule for the unit
     Maxwellian, computed once per node count (sweeps repeat it)."""
-    x, wp = gauss_maxwell_nodes(n_p, 1.0)
+    x, w = roots_hermitenorm(n_p)
+    wp = w / np.sqrt(2.0 * np.pi)
     x.flags.writeable = False
     wp.flags.writeable = False
     return x, wp

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from washboard import transport
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import (FourierVector, HermiteFourierField,
                              TruncationSpec, apply_lower, apply_momentum,
                              apply_q_derivative, apply_raise, fourier_table,
-                             gauss_maxwell_nodes, gibbs_gram, gibbs_inner,
-                             hermite_table, pack_complex, packed_dq_matrix,
-                             packed_metric, packed_mult_matrix, unpack_complex)
+                             gibbs_gram, gibbs_inner, hermite_table,
+                             pack_complex, packed_dq_matrix, packed_metric,
+                             packed_mult_matrix, unpack_complex)
 
 from packed_reference import (GibbsTensorQuadrature, reference_dq_matrix,
                               reference_mult_matrix)
@@ -47,7 +48,8 @@ def test_hermite_table_values():
 
 def test_hermite_orthonormality_by_quadrature():
     beta = 3.0
-    p, w = gauss_maxwell_nodes(40, beta)
+    x, w = transport._gauss_maxwell_rule(40)    # the unit Maxwellian's rule
+    p = x / np.sqrt(beta)
     for n in range(0, 13, 3):
         for m in range(0, 13, 4):
             val = np.sum(w * _hermite(n, p, beta) * _hermite(m, p, beta))

@@ -1,3 +1,4 @@
+import errno
 import functools
 import inspect
 import json
@@ -694,6 +695,21 @@ def test_sweep_runs_serially_without_fork(tmp_path, monkeypatch):
     serial = _split_run(tmp_path, monkeypatch, "transport", 1, "serial.csv")
     monkeypatch.delattr(os, "fork")
     assert _split_run(tmp_path, monkeypatch, "transport", 3, "nofork.csv") == serial
+
+
+@pytest.mark.parametrize("call, err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+def test_sweep_is_solved_here_when_no_helper_starts(tmp_path, monkeypatch, pinnable,
+                                                    call, err):
+    serial = _split_run(tmp_path, monkeypatch, "transport", 1, "serial.csv")
+
+    def fail():
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(os, call, fail)
+    assert _split_run(tmp_path, monkeypatch, "transport", 3, "failed.csv") == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 from contextlib import closing
@@ -248,6 +249,21 @@ def test_estimates_bit_pinned(params, burnin, expected):
 def test_estimates_bit_pinned_without_fork(monkeypatch, params, burnin, expected):
     monkeypatch.delattr(os, "fork")
     test_estimates_bit_pinned(params, burnin, expected)
+
+
+@_FORK
+@pytest.mark.parametrize("call, err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+@pytest.mark.parametrize("params, burnin, expected", _GOLDEN)
+def test_estimates_bit_pinned_when_no_helper_starts(monkeypatch, call, err, params,
+                                                    burnin, expected):
+    # no helper process can be made: the caller fills the noise itself
+    def fail():
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(os, call, fail)
+    test_estimates_bit_pinned(params, burnin, expected)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("params", [_cos151(1.0), _multi(0.6)])

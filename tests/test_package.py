@@ -45,8 +45,9 @@ def test_import_loads_no_sparse_matrices():
 
 
 def test_import_loads_no_multiprocessing():
-    # the Monte Carlo noise helper is a bare os.fork; multiprocessing would
-    # add its import to every process that imports the package
+    # the sweep and Monte Carlo noise helpers are forked by washboard._fork
+    # with a bare os.fork; multiprocessing would add its import to every
+    # process that imports the package
     assert not _loaded_by_import("multiprocessing")
 
 
