@@ -285,9 +285,6 @@ class HermiteFourierField:
         vals = np.einsum("xn,nx->x", H, levels)
         return vals.reshape(q.shape) if q.ndim else float(vals[0])
 
-    def scaled(self, a: float) -> "HermiteFourierField":
-        return self.with_coeffs(a * self.coeffs)
-
     def plus(self, other: "HermiteFourierField") -> "HermiteFourierField":
         if other.p0 != self.p0:
             raise ValueError(f"fields in bases centred at p0={self.p0} and "

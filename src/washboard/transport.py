@@ -46,10 +46,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgesv, dgetrf, dgetri, dgetri_lwork, dgetrs
-from scipy.special import roots_hermitenorm
 
-from .blas import one_thread
+from .blas import inverter, lu_solve, one_thread
 from .model import ModelParams
 from .basis import (
     HermiteFourierField,
@@ -200,11 +198,10 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
     is G_{n-1} = Q_{n-1} - n drift G_n^{-1} d_q, starting from G_N = Q_N, with
     the diagonal block Q_n = shift d_q - gamma sqrt(beta) n.  Each G_n is
-    built in slot n of the returned stack and inverted there without a copy:
-    the slot's transpose is an F-ordered view, so LAPACK factors G_n^T in
-    place (getrf) and overwrites it with G_n^{-T} (getri), which read in C
-    order is G_n^{-1}.  The next step's product is written into slot n-1,
-    so slot 0 ends as scratch holding G_0, of which ``bottom`` is a copy.
+    built in slot n of the returned stack and inverted there without a copy
+    (:func:`washboard.blas.inverter`, whose pointers into the stack are made
+    once per factorization).  The next step's product is written into slot
+    n-1, so slot 0 ends as scratch holding G_0, of which ``bottom`` is a copy.
     ``blocks`` defaults to :func:`displaced_blocks`; blocks centred elsewhere
     than F/gamma raise ValueError.  Runs on one BLAS thread
     (:mod:`washboard.blas`): threading kernels on blocks this small costs
@@ -218,18 +215,17 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     N = trunc.n_hermite
     size = blocks.size
     friction = blocks.friction
-    lwork = int(dgetri_lwork(size)[0])
     inverses = np.empty((N + 1, size, size))
+    invert = inverter(inverses)
     inverses[N] = 0.0
     blocks.add_shift(inverses[N])
     for n in range(N, 0, -1):
         g = inverses[n]
         g.reshape(-1)[:: size + 1] -= friction * n     # a view of the diagonal
-        lu, piv, info = dgetrf(g.T, overwrite_a=1)
-        _check_info(info, f"singular Schur complement at hermite level n={n}; "
-                          "raise n_hermite or check parameters")
-        _, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=1)
-        _check_info(info, f"singular Schur complement at hermite level n={n}")
+        info = invert(n)
+        if info:
+            _check_info(info, f"singular Schur complement at hermite level n={n}; "
+                              "raise n_hermite or check parameters")
         below = np.matmul(blocks.drift, g @ blocks.d_q, out=inverses[n - 1])
         below *= -n
         blocks.add_shift(below)
@@ -307,13 +303,13 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     K = blocks.add_shift(blocks.d_q @ S0)
     K[0, :] = 0.0
     K[0, 0] = 1.0
-    rhs = np.zeros((blocks.size, 1))
+    rhs = np.zeros(blocks.size)
     rhs[0] = 1.0 / L
-    _, _, R0, info = dgesv(K, rhs, overwrite_a=1)
+    R0, _, info = lu_solve(K, rhs)
     _check_info(info, "stationary solve is singular; raise n_hermite")
 
     levels = np.empty((N + 1, blocks.size))
-    levels[0] = R0[:, 0]
+    levels[0] = R0
     levels[1] = S0 @ levels[0]
     root = np.sqrt(np.arange(N + 1))
     inverses_t = factors.inverses.transpose(0, 2, 1)          # G_n^{-T}, views
@@ -421,15 +417,14 @@ def solve_levels(factors: HierarchyFactors, rhs: np.ndarray, left_null: np.ndarr
     scale = max(float(np.linalg.norm(left_null) * np.linalg.norm(y[0])), 1e-300)
     K = factors.bottom.copy()
     K[:, 0] = left_null
-    lu, piv, info = dgetrf(K)
+    bottom, rcond, info = lu_solve(K, y[0])
     _check_info(info, "cell bottom block is singular; truncation failure")
-    rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
     if rcond < 1e-10:
         raise SolverError(f"cell bottom block is ill-conditioned (rcond {rcond:.2e}); "
                           "truncation failure")
 
     levels = np.empty((N + 1, blocks.size))
-    levels[0] = dgetrs(lu, piv, y[0])[0]
+    levels[0] = bottom
     coefficient = float(levels[0, 0])
     levels[0, 0] = 0.0
     for n in range(1, N + 1):
@@ -482,15 +477,133 @@ def _trim_levels(coeffs: np.ndarray, rel: float = 1e-14) -> int:
 _IBP_CUTOFFS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
 
 
+def _airy_zeros(k: np.ndarray) -> np.ndarray:
+    """The k-th zeros a_k < 0 of Ai from their asymptotic series
+    (DLMF 9.9.6, 9.9.18); a_1 is off by 1e-3 relative, a_4 by 2e-11."""
+    t = 3.0 * np.pi / 8.0 * (4.0 * k - 1.0)
+    s = t ** -2.0
+    series = 1.0 + s * (5.0 / 48.0 + s * (-5.0 / 36.0 + s * (
+        77125.0 / 82944.0 + s * (-108056875.0 / 6967296.0
+                                 + s * 162375596875.0 / 334430208.0))))
+    return -t ** (2.0 / 3.0) * series
+
+
+def _hermite_initial_nodes(m: int) -> np.ndarray:
+    """t_k = x_k^2 / 2 of the m positive roots x_k of He_{2m}, ascending, to
+    4e-4 relative or better: Tricomi's interior and Gatteschi's edge formulas
+    (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36 (2016) 337, lemmas
+    3.1 and 3.2, with their linear fit of where one gets better than the
+    other)."""
+    nu = 4.0 * m + 1.0
+    k = np.arange(1, m + 1)
+    split = max(int(np.around(0.98164006 * m - 4.37859653)), 0) + 1
+    c = (4.0 * m - 4.0 * k[:split] + 3.0) * np.pi / nu
+    tau = np.full(c.shape, 0.5 * np.pi)          # tau - sin(tau) = c
+    for _ in range(5):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    sigma = np.cos(0.5 * tau) ** 2
+    interior = nu * sigma - (1.25 / (1.0 - sigma) ** 2 - 1.0 / (1.0 - sigma)
+                             - 0.25) / (3.0 * nu)
+    a = _airy_zeros(k[: m - split][::-1])
+    edge = (nu + 2.0 ** (2.0 / 3.0) * a * nu ** (1.0 / 3.0)
+            + 0.2 * 2.0 ** (4.0 / 3.0) * a ** 2 * nu ** (-1.0 / 3.0)
+            + (9.0 / 140.0 - 12.0 / 175.0 * a ** 3) / nu
+            + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * 2.0 ** (2.0 / 3.0)
+            * nu ** (-5.0 / 3.0)
+            - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a ** 2)
+            * 2.0 ** (1.0 / 3.0) * nu ** (-7.0 / 3.0))
+    return np.concatenate([interior, edge])
+
+
+def _rescale(p: np.ndarray, prev: np.ndarray, exponent: np.ndarray) -> None:
+    """Scale each node's pair by a power of two, exactly, so that the larger
+    of |p|, |prev| lies in [1/2, 1); the powers are added to ``exponent``."""
+    e = np.frexp(np.maximum(np.abs(p), np.abs(prev)))[1]
+    exponent += e
+    np.negative(e, out=e)
+    np.ldexp(p, e, out=p)
+    np.ldexp(prev, e, out=prev)
+
+
+def _monic_recurrence(z: np.ndarray, b: list[float], a: list[float] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_K(z), p_{K-1}(z) and e for the monic polynomials
+    p_{k+1} = (z - a_k) p_k - b_k p_{k-1}, p_0 = 1, k < K = len(b), a_k = 0
+    when ``a`` is None.  The true values are the returned ones times 2**e per
+    node: the pair is rescaled every 16 steps, as the values outgrow the
+    float range long before K."""
+    p, prev = np.ones_like(z), np.zeros_like(z)
+    exponent = np.zeros(z.shape, dtype=np.int64)
+    zp = np.empty_like(z)
+    for k, bk in enumerate(b):   # (p, prev) = (p_k, p_{k-1}) -> (p_{k+1}, p_k)
+        if a is None:
+            np.multiply(z, p, out=zp)
+        else:
+            np.subtract(z, a[k], out=zp)
+            zp *= p
+        prev *= bk
+        np.subtract(zp, prev, out=prev)
+        p, prev = prev, p
+        if k % 16 == 15:
+            _rescale(p, prev, exponent)
+    _rescale(p, prev, exponent)
+    return p, prev, exponent
+
+
 @lru_cache(maxsize=32)
 def _gauss_maxwell_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the n_p-point Gauss rule for the unit
-    Maxwellian, computed once per node count (sweeps repeat it)."""
-    x, w = roots_hermitenorm(n_p)
-    wp = w / np.sqrt(2.0 * np.pi)
+    Maxwellian (the roots of He_{n_p}, ascending, and weights summing to 1),
+    computed once per node count (sweeps repeat it).  Below 24 points (from
+    truncations with n_hermite <= 6) numpy's ``hermegauss`` (Golub-Welsch)
+    gives the rule, from 24 on :func:`_hermite_rule`."""
+    if n_p < 24:
+        from numpy.polynomial.hermite_e import hermegauss
+        x, w = hermegauss(n_p)
+    else:
+        x, w = _hermite_rule(n_p)
+    w = w / w.sum()
     x.flags.writeable = False
-    wp.flags.writeable = False
-    return x, wp
+    w.flags.writeable = False
+    return x, w
+
+
+def _hermite_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of He_{n_p}, ascending, and their Gauss weights up to a
+    common factor, for even n_p >= 24.
+
+    The asymptotic initial nodes (:func:`_hermite_initial_nodes`) take one
+    Halley step on the half-degree form He_{2m}(x) ~ L_m^{(-1/2)}(x^2/2),
+    whose recurrence is half as long, then one on He_{n_p} in x itself,
+    where the nodes near 0 keep their absolute accuracy (t = x^2/2 loses it).
+    The weights 1/He_{n_p-1}(x)^2 are read off the last step, moved to first
+    order to the node it lands on.  Against scipy's ``roots_hermitenorm``
+    for n_p = 24 .. 16394 the nodes agree to 3e-13 and the normalized
+    weights to 7e-12 relative wherever they exceed 1e-200; below 24 points
+    the weights lose accuracy (4e-11 at n_p = 8).
+    """
+    if n_p < 24 or n_p % 2:
+        raise ValueError(f"n_p must be even and at least 24, not {n_p}")
+    m = n_p // 2
+    # Halley on L_m^(-1/2) in t: t L' = m L + m (m - 1/2) L_{m-1} (monic),
+    # t L'' = (t - 1/2) L' - m L
+    t = _hermite_initial_nodes(m)
+    k = np.arange(m)
+    p, prev, _ = _monic_recurrence(t, (k * (k - 0.5)).tolist(), (2.0 * k + 0.5).tolist())
+    r = t * p / (m * p + m * (m - 0.5) * prev)
+    t -= r / (1.0 - 0.5 * r * ((t - 0.5) - m * r) / t)
+    # Halley on He_n in x: He_n' = n He_{n-1}, He_n'' = x He_n' - n He_n
+    x = np.sqrt(2.0 * t)
+    p, prev, exponent = _monic_recurrence(x, list(range(n_p)))
+    r = p / (n_p * prev)
+    step = r / (1.0 - 0.5 * r * (x - n_p * r))
+    # d log w / dx = -2 He_{n-1}' / He_{n-1} = 2 He_n / He_{n-1} - 2 x
+    w = np.ldexp(np.exp(2.0 * step * (x - p / prev)) / (prev * prev),
+                 -2 * (exponent - exponent.min()))
+    x -= step
+    x = np.concatenate([-x[::-1], x])
+    w = np.concatenate([w[::-1], w])
+    return x, w
 
 
 def _gradient_squared_quadrature(density: StationaryDensity,
@@ -672,7 +785,8 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     so an answer overshoots the truncation it needs by less than that.  A rung
     whose solve raises :class:`SolverError` counts as failed; at the last
     rung the error, or an unconverged result flagged ``adaptive_cap_hit``, is
-    returned.
+    returned.  Below the last rung, a rung whose density already misses the
+    tolerance fails without its cell problem being solved.
 
     ``start`` (adaptive only) is sweep continuation: a rung above n0, usually
     the one the previous sweep point converged at.  The ladder then climbs
@@ -709,10 +823,15 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     rungs = _ladder(n0) if adaptive else [n0]
     tried = []
 
-    def solve(n: int) -> _Rung:
+    def solve(n: int) -> _Rung | None:
+        """The rung at n, or None when its density misses _ADAPT_TOL below the
+        top rung: such a rung is never the answer, so its cell problem is not
+        solved."""
         tried.append(n)
         cur = trunc.with_n_hermite(n)
         density = solve_stationary_fp(params, cur, blocks=blocks)
+        if n != rungs[-1] and density.diagnostics["top_level_ratio"] > _ADAPT_TOL:
+            return None
         phi, cell_diag = _solve_cell(params, cur, density)
         # N+1 inverses (30 MB at N = 1536, M = 24) are not needed past the
         # cell solve; a rung kept through the next rung's solve and through
@@ -727,7 +846,7 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
                 rung = solve(n)
             except SolverError:
                 return None
-            if rung.converged:
+            if rung is not None and rung.converged:
                 return rung
         return None
 
@@ -745,7 +864,7 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
                     rung = solve(n)
                 except SolverError:
                     continue
-                if rung.converged:
+                if rung is not None and rung.converged:
                     answer = rung
                     break
     if answer is None:
@@ -759,7 +878,7 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
                 if i + 1 < len(rungs):
                     continue
                 raise
-            if answer.converged:
+            if answer is not None and answer.converged:
                 break
 
     result = compute_diffusion(answer.density, answer.phi, params)

@@ -22,13 +22,15 @@ def test_every_export_resolves(name):
     assert not missing
 
 
-def _loaded_by_import(module: str) -> bool:
-    """Whether a fresh ``import washboard, washboard.cli`` loads ``module``."""
-    code = f"import sys, washboard, washboard.cli; print({module!r} in sys.modules)"
+def _loaded_by_import(module: str, run: str = "") -> bool:
+    """Whether a fresh ``import washboard, washboard.cli``, followed by the
+    statements ``run``, loads ``module``."""
+    code = (f"import sys, washboard, washboard.cli\n{run}\n"
+            f"print({module!r} in sys.modules)")
     env_path = str(pathlib.Path(washboard.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": env_path})
-    return {"True": True, "False": False}[out.stdout.strip()]
+    return {"True": True, "False": False}[out.stdout.strip().splitlines()[-1]]
 
 
 def test_import_loads_no_sparse_solver():
@@ -42,6 +44,25 @@ def test_import_loads_no_sparse_matrices():
     # imports scipy.sparse when called; pytest's own warning filters import
     # it into this process, so the check runs in a fresh one
     assert not _loaded_by_import("scipy.sparse")
+
+
+def test_import_and_solves_load_no_scipy(tmp_path):
+    # LAPACK comes from numpy's own OpenBLAS and the Gauss-Hermite rule is
+    # computed in numpy, so neither importing nor a transport and an expand
+    # sweep loads scipy, or the second OpenBLAS copy its wheel brings
+    run = "\n".join([
+        "from washboard import blas",
+        "from washboard.cli import main",
+        f"out = {str(tmp_path)!r}",
+        "assert main(['transport', '--n-hermite', '32', '--n-fourier', '8',"
+        " '--count', '3', '--out', out + '/t.csv']) == 0",
+        "assert main(['expand', '--order', '3', '--max', '0.5', '--count', '3',"
+        " '--out', out + '/e.csv']) == 0",
+        "assert len(blas._controls()) == 1",
+    ])
+    # a scipy submodule cannot be loaded without the scipy package
+    assert not _loaded_by_import("scipy", run)
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "e.csv").exists()
 
 
 def test_import_loads_no_multiprocessing():

@@ -421,13 +421,57 @@ def test_diagnostics_report_the_basis_and_its_growth():
     assert solve_transport(params.with_force(0.0), trunc).diagnostics["p0"] == 0.0
 
 
+def _assert_rule_matches_scipy(x, w, n):
+    # scipy's Golub-Welsch (n <= 150) or asymptotic (n > 150) rule is the
+    # oracle: nodes to 1e-12 absolute, normalized weights to 1e-11 relative
+    # wherever scipy's weight is at least 1e-200
+    rx, rw = roots_hermitenorm(n)
+    rw = rw / rw.sum()
+    assert np.abs(x - rx).max() <= 1e-12
+    big = rw >= 1e-200
+    assert np.abs(w[big] / rw[big] - 1.0).max() <= 1e-11
+
+
 def test_gauss_rule_is_computed_once_and_read_only():
-    x, w = transport._gauss_maxwell_rule(37)
-    rx, rw = roots_hermitenorm(37)
-    assert np.array_equal(x, rx)
-    assert np.array_equal(w, rw / np.sqrt(2.0 * np.pi))
-    assert transport._gauss_maxwell_rule(37)[0] is x
+    x, w = transport._gauss_maxwell_rule(40)
+    _assert_rule_matches_scipy(x, w, 40)
+    assert transport._gauss_maxwell_rule(40)[0] is x
     assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n", [24, 40, 136, 150, 152, 394, 522, 3082, 16394])
+def test_gauss_rule_matches_scipy(n):
+    # the sizes straddle scipy's switch of method at 150 and reach past the
+    # 2 n_eff + 8 = 3082 of fig1's gamma = 0.01 rows
+    x, w = transport._gauss_maxwell_rule.__wrapped__(n)
+    assert x.shape == w.shape == (n,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert abs(w.sum() - 1.0) <= 1e-14
+    _assert_rule_matches_scipy(x, w, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 14, 22, 23])
+def test_small_gauss_rules_match_scipy(n):
+    # below 24 points numpy's Golub-Welsch rule serves
+    x, w = transport._gauss_maxwell_rule.__wrapped__(n)
+    assert x.shape == w.shape == (n,)
+    assert abs(w.sum() - 1.0) <= 1e-14
+    _assert_rule_matches_scipy(x, w, n)
+
+
+@pytest.mark.parametrize("n", [22, 25, 37])
+def test_asymptotic_rule_rejects_sizes_it_is_not_made_for(n):
+    with pytest.raises(ValueError):
+        transport._hermite_rule(n)
+
+
+@pytest.mark.parametrize("n_hermite", [2, 3, 4, 5, 6, 7])
+def test_smallest_truncations_solve(n_hermite):
+    # their IBP quadratures take fewer than 24 nodes
+    params = _params(gamma=1.0, beta=1.0, force=0.5)
+    res = solve_transport(params, TruncationSpec(n_hermite, 4))
+    assert np.isfinite(res.d_ibp) and np.isfinite(res.d_primary)
 
 
 def test_dual_formula_agreement():
@@ -568,6 +612,35 @@ def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
         {"ladder_start": 1536, "rungs_solved": 1, "rungs_certified": 5,
          "rungs_tried": [1536]}
     _same_result(res, solve_transport(p, trunc, adaptive=True))
+
+
+def test_failed_densities_skip_the_cell_solve(monkeypatch):
+    # a fresh fig1 gamma=0.01 climb: the densities at 256 .. 1024 miss the
+    # tolerance, so only the answer's cell problem is solved, and the row is
+    # the one solving every rung in full gives
+    params, trunc, forces = _fig1_sweep(0.01)
+    p = params.with_force(forces[0])
+    blocks = displaced_blocks(p, trunc)
+    for n in (256, 384, 512, 768, 1024):
+        cur = trunc.with_n_hermite(n)
+        density = solve_stationary_fp(p, cur, blocks=blocks)
+        assert density.diagnostics["top_level_ratio"] > transport._ADAPT_TOL
+        rung = transport._Rung(density, solve_cell_problem(p, cur, density), {})
+        assert not rung.converged
+    full = solve_transport(p, trunc.with_n_hermite(1536))
+    cells = []
+    original = transport._solve_cell
+
+    def counted(params, trunc, density):
+        cells.append(trunc.n_hermite)
+        return original(params, trunc, density)
+
+    monkeypatch.setattr(transport, "_solve_cell", counted)
+    res = solve_transport(p, trunc, adaptive=True)
+    assert cells == [1536]
+    assert res.diagnostics["rungs_tried"] == [256, 384, 512, 768, 1024, 1536]
+    assert res.diagnostics["rungs_solved"] == 6
+    _same_result(res, full)
 
 
 @pytest.mark.parametrize("start", [100, 80, 64, 32, 0])
@@ -719,25 +792,27 @@ def test_fig1_small_friction_answers_at_1536_are_converged(frac):
 
 def test_levels_are_factored_in_the_returned_stack(monkeypatch):
     # each G_n is factored and inverted inside slot n of the stack it is
-    # returned in (f2py would copy a view that is not F-ordered), and
-    # bottom is a copy, so dropping the stack frees all of it
+    # returned in, with no copy, and bottom is a copy, so dropping the stack
+    # frees all of it
     calls = []
-    getrf, getri = transport.dgetrf, transport.dgetri
+    make = transport.inverter
 
-    def recorded(lapack, name):
-        def call(a, *args, **kwargs):
-            out = lapack(a, *args, **kwargs)
-            calls.append((name, a, out[0]))
-            return out
+    def recorded(stack):
+        invert = make(stack)
+
+        def call(k):
+            before = stack[k].copy()
+            info = invert(k)
+            calls.append((stack, k, before))
+            return info
         return call
 
-    monkeypatch.setattr(transport, "dgetrf", recorded(getrf, "getrf"))
-    monkeypatch.setattr(transport, "dgetri", recorded(getri, "getri"))
+    monkeypatch.setattr(transport, "inverter", recorded)
     f = factor_hierarchy(_params(gamma=0.3, beta=2.0, force=0.4), TruncationSpec(12, 6))
-    assert [name for name, _, _ in calls] == ["getrf", "getri"] * 12
-    for n, i in zip(range(12, 0, -1), range(0, 24, 2)):
-        for _, a, out in calls[i : i + 2]:
-            assert np.shares_memory(a, f.inverses[n])
-            assert np.shares_memory(out, f.inverses[n])
+    assert [k for _, k, _ in calls] == list(range(12, 0, -1))
+    eye = np.eye(f.blocks.size)
+    for stack, n, g in calls:
+        assert stack is f.inverses
+        assert np.abs(f.inverses[n] @ g - eye).max() < 1e-12
     assert not np.shares_memory(f.bottom, f.inverses)
     assert np.array_equal(f.bottom, f.inverses[0])
