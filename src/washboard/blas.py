@@ -72,10 +72,11 @@ def _loaded() -> list[ctypes.CDLL]:
 def _controls() -> tuple:
     """(set, get) functions of every loaded OpenBLAS copy.
 
-    Looked up once, at first use.  By then importing the package has loaded
-    numpy's copy.  Where that copy exports no LAPACK, scipy's, which then
-    runs every solve, is loaded here first so that the pin finds it; other
-    than that, scipy's is found only if something imported it first.
+    Looked up at first use, and again by every :func:`single_threaded`.  By
+    then importing the package has loaded numpy's copy.  Where that copy
+    exports no LAPACK, scipy's, which then runs every solve, is loaded here
+    first so that the pin finds it; other than that, scipy's is found only
+    if something imported it before the lookup.
     """
     if _lapack() is None:
         try:
@@ -115,7 +116,13 @@ def one_thread():
 
 def single_threaded() -> bool:
     """Whether an OpenBLAS copy is loaded and every loaded copy runs on one
-    thread, so that forking leaves no BLAS thread pool behind in use."""
+    thread, so that forking leaves no BLAS thread pool behind in use.
+
+    The copies are looked up afresh (about 0.2 ms), so a copy loaded since
+    the last lookup, such as scipy's by a later ``import scipy.linalg``,
+    counts; :func:`one_thread` keeps using the copies it found.
+    """
+    _controls.cache_clear()
     controls = _controls()
     return bool(controls) and all(getter() == 1 for _, getter in controls)
 

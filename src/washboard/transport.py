@@ -445,7 +445,12 @@ class TransportResult:
     """Effective drift and diffusion with dual-formula cross-check.
 
     ``d_primary`` comes from the coefficient pairing of the density with the
-    cell solution; ``d_ibp`` from the gradient-squared quadrature
+    cell solution.  ``mobility`` is dU/dF = int rho d_p phi, the
+    nonequilibrium response identity (G. S. Agarwal, Z. Phys. 252 (1972) 25;
+    M. Baiesi, C. Maes and B. Wynants, PRL 103 (2009) 010602): another
+    pairing of the same two fields, so it needs no second solve.  At F = 0
+    the Einstein relation D = mobility/beta holds to roundoff.  ``d_ibp``
+    comes from the gradient-squared quadrature
     gamma/beta * int (d_p phi)^2 rho.  ``d_ibp_stability`` is the plateau
     spread of the quadrature's momentum cutoff scan: when it is not small
     relative to d_primary the quadrature (not the solve) lost accuracy.
@@ -459,6 +464,7 @@ class TransportResult:
 
     drift: float
     d_primary: float
+    mobility: float
     d_ibp: float
     d_ibp_stability: float
     n_hermite: int
@@ -683,10 +689,26 @@ def _level_pairs(x: np.ndarray, y: np.ndarray, metric: np.ndarray) -> np.ndarray
 def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
                       params: ModelParams) -> TransportResult:
     """Diffusion coefficient from the level-pairing formula plus the
-    gradient-squared cross-check.
+    gradient-squared cross-check, and the mobility dU/dF.
 
     D = L sum_n sqrt((n+1)/beta) (2 R_{n+1}.Phi_n - [R_{n+1}.Phi_n]_1
                                   + 2 R_n.Phi_{n+1} - [R_n.Phi_{n+1}]_1)
+
+    The mobility is the response identity dU/dF = int rho d_p phi (Agarwal
+    1972; Baiesi, Maes and Wynants 2009): differentiating L_F* rho = 0 in F,
+    with L_F = L_0 + F d_p, gives L_F* d_F rho = d_p rho, and pairing that
+    with -L phi = p - U leaves int rho d_p phi.  With d_p H_n = sqrt(beta n)
+    H_{n-1} in the basis,
+
+        dU/dF = L sum_{n>=1} sqrt(beta n) (2 R_{n-1}.Phi_n - [R_{n-1}.Phi_n]_1),
+
+    the second of D's two level pairings, weighted by sqrt(beta n) in place
+    of sqrt(n/beta).  It is the derivative of the converged U: at a
+    truncation whose cell solution is not converged it carries that
+    truncation error, as D does.
+
+    Raises SolverError when D is not positive: only a truncation too small
+    for the problem gives that.
     """
     if density.field.coeffs.shape != phi.coeffs.shape:
         raise ValueError("density and cell solution truncations differ")
@@ -695,8 +717,13 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
     R, P = density.field.coeffs, phi.coeffs
     N = R.shape[0] - 1
     metric = density.factors.blocks.metric
-    pairs = _level_pairs(R[1:], P[:-1], metric) + _level_pairs(R[:-1], P[1:], metric)
+    up = _level_pairs(R[:-1], P[1:], metric)            # R_{n-1}.Phi_n, n = 1..N
+    pairs = _level_pairs(R[1:], P[:-1], metric) + up
     d_primary = L * float(np.sqrt(np.arange(1, N + 1) / beta) @ pairs)
+    mobility = L * float(np.sqrt(beta * np.arange(1, N + 1)) @ up)
+    if not d_primary > 0:
+        raise SolverError(f"D = {d_primary:.3e} is not positive at N = {N}, "
+                          f"M = {phi.n_fourier}: the truncation is too small")
 
     d_ibp, stability = _gradient_squared_quadrature(density, phi, params)
 
@@ -708,6 +735,7 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
     return TransportResult(
         drift=density.drift,
         d_primary=d_primary,
+        mobility=mobility,
         d_ibp=d_ibp,
         d_ibp_stability=stability,
         n_hermite=N,

@@ -26,7 +26,7 @@ from washboard.overdamped import (check_overdamped_asymptotics,
                                   lifson_jackson_diffusion, solve_overdamped,
                                   stratonovich_drift)
 from washboard.transport import solve_stationary_fp, solve_transport
-from washboard.cli import cmd_fig, parse_report
+from washboard.cli import parse_report
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -259,13 +259,12 @@ def test_criterion_12_monte_carlo_vs_spectral():
             ", ".join(details) + f", {elapsed:.0f}s")
 
 
-def test_criterion_13_figure_presets(tmp_path):
-    out = str(tmp_path / "fig1.csv")
-    code = cmd_fig("fig1", out)
-    ok = code == 0
+def test_criterion_13_figure_presets(figures):
+    folder, codes = figures
+    ok = codes["fig1"] == 0
     details = []
     for gamma in ("0.01", "0.1", "1.0"):
-        rows = parse_report(str(tmp_path / f"fig1_gamma{gamma}.csv"))
+        rows = parse_report(str(folder / f"fig1_gamma{gamma}.csv"))
         clean = all(not r["error"] for r in rows)
         top = max(max(r["top_level_ratio"], r["top_level_ratio_phi"])
                   for r in rows if not r["error"])

@@ -49,6 +49,27 @@ def test_both_copies_are_found():
     assert len(blas._controls()) == 2
 
 
+def test_a_copy_loaded_later_counts(tmp_path):
+    # scipy's copy, loaded inside a pin with OPENBLAS_NUM_THREADS=2, runs two
+    # threads: single_threaded() must see it, so that run_sweep does not fork
+    code = "\n".join([
+        "import json",
+        "import washboard.blas as blas",
+        "with blas.one_thread():",
+        "    before = blas.single_threaded()",
+        "    import scipy.linalg",
+        "    print(json.dumps([before, blas.single_threaded(), len(blas._controls())]))",
+    ])
+    env_path = str(pathlib.Path(blas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": env_path,
+                                          "OPENBLAS_NUM_THREADS": "2"})
+    before, after, copies = json.loads(out.stdout.strip().splitlines()[-1])
+    if not before:
+        pytest.skip("no loaded OpenBLAS exports its thread entry points")
+    assert (after, copies) == (False, 2)
+
+
 def test_one_thread_pins_and_restores(two_threads):
     assert not blas.single_threaded()
     twos = _counts()

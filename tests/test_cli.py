@@ -152,17 +152,47 @@ def test_einstein_check_is_exact_at_zero_tilt(tmp_path):
     assert abs(row["gap"]) <= 1e-7 * row["D_spectral"]
 
 
-def test_einstein_check_gap(tmp_path, cos_config):
+def test_einstein_check_takes_a_single_point(tmp_path):
+    # dU/dF is the mobility of the one solve: no force range is needed, and
+    # at F = 0 the Einstein relation holds to roundoff
+    [(_, cfg, _)] = [e for e in FIG_PRESETS["fig6"] if e[2] == "gamma1"]
+    config, out = tmp_path / "fig6.json", str(tmp_path / "fig6.csv")
+    config.write_text(json.dumps(cfg))
+    assert main(["einstein-check", "--config", str(config), "--out", out,
+                 "--min", "0", "--max", "0", "--count", "1"]) == 0
+    [row] = parse_report(out)
+    assert row["F"] == 0 and abs(row["gap"]) <= 1e-10 * row["D_spectral"]
+
+
+def test_einstein_check_gap(tmp_path, monkeypatch, cos_config):
+    solves = []
+    _patch_solve(monkeypatch, solves.append)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)    # every solve counted here
     out = str(tmp_path / "g.csv")
     code = main(["einstein-check", "--config", cos_config, "--out", out,
                  "--var", "force", "--min", "0.0", "--max", "1.0", "--count", "3"])
     assert code == 0
+    assert [p.force for p in solves] == [0.0, 0.5, 1.0]    # one solve per point
     rows = parse_report(out)
     assert abs(rows[0]["gap"]) <= 1e-8
     assert abs(rows[-1]["gap"]) > 1e-5 * rows[-1]["D_spectral"]
     for r in rows:
         assert r["gap"] == pytest.approx(r["D_spectral"] - r["beta_inv_dUdF"],
                                          rel=1e-12, abs=1e-300)
+
+
+def test_negative_diffusion_is_a_row_error(tmp_path):
+    # at M = 8 this potential converges in N with D_primary -0.0041 at F = 0
+    # (M = 48 gives 1.4e-6): a D that is not positive fails its row
+    cfg = {"gamma": 20, "beta": 4.54,
+           "potential": {"L": 4.364, "cos": [-0.55, 0.073], "sin": [0.874, -0.748]},
+           "trunc": {"n_hermite": 16, "n_fourier": 8},
+           "sweep": {"min": 0, "max": 0, "count": 1}}
+    config, out = tmp_path / "neg.json", str(tmp_path / "neg.csv")
+    config.write_text(json.dumps(cfg))
+    assert main(["transport", "--config", str(config), "--out", out]) == 2
+    [row] = parse_report(out)
+    assert row["error"].startswith("SolverError: D = -4.08") and row["D_primary"] == ""
 
 
 def test_overdamped_mode(tmp_path, cos_config):

@@ -495,13 +495,70 @@ def test_ibp_stability_compares_distinct_node_sets(monkeypatch):
     assert res.d_ibp_stability == np.inf
 
 
+def _reflection_pair(params, trunc):
+    """(U, D, mobility) of params and, sign of U flipped, of its mirror image;
+    a SolverError's message in place of either."""
+    out = []
+    for sign, p in ((1.0, params), (-1.0, params.reflected())):
+        try:
+            res = solve_transport(p, trunc)
+        except SolverError as exc:
+            out.append(str(exc))
+        else:
+            out.append((sign * res.drift, res.d_primary, res.mobility))
+    return out
+
+
 def test_transport_reflection_symmetry():
-    params = _params(gamma=1.0, beta=5.0, force=0.7)
-    trunc = TruncationSpec(160, 24)
-    plus = solve_transport(params, trunc)
-    minus = solve_transport(params.reflected(), trunc)
-    assert abs(plus.drift + minus.drift) <= 1e-9 * max(abs(plus.drift), 1e-12)
-    assert abs(plus.d_primary - minus.d_primary) <= 1e-9 * plus.d_primary
+    # (F, V(q)) -> (-F, V(-q)) gives -U and the same D and mobility to the
+    # bit: for the cosine, and for 25 drawn mixed potentials (two of which
+    # fail alike, with a negative D at M = 12)
+    plus, minus = _reflection_pair(_params(gamma=1.0, beta=5.0, force=0.7),
+                                   TruncationSpec(160, 24))
+    assert plus == minus
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        k = int(rng.integers(1, 4))
+        potential = PeriodicPotential(period=float(rng.uniform(0.5, 2 * np.pi)),
+                                      cos_coeffs=tuple(rng.uniform(-1, 1, k)),
+                                      sin_coeffs=tuple(rng.uniform(-1, 1, k)))
+        params = ModelParams(gamma=float(rng.uniform(0.2, 20)), beta=float(rng.uniform(1, 5)),
+                             force=float(rng.uniform(0, 2)), potential=potential)
+        plus, minus = _reflection_pair(params, TruncationSpec(64, 12))
+        assert plus == minus
+
+
+def _five_point(params, trunc, h):
+    """dU/dF by the centred five-point difference of step h."""
+    u = {k: solve_transport(params.with_force(params.force + k * h), trunc).drift
+         for k in (-2, -1, 1, 2)}
+    return (8.0 * (u[1] - u[-1]) - (u[2] - u[-2])) / (12.0 * h)
+
+
+@pytest.mark.parametrize("gamma, force", [(1.0, 0.0), (1.0, 0.3), (1.0, 0.8), (1.0, 1.2),
+                                          (50.0, 0.5)])
+def test_mobility_is_the_derivative_of_the_drift(gamma, force):
+    # the difference's error is c h^4 + roundoff/h.  At h = 0.01 the h^4 term
+    # rules (h = 0.001 leaves roundoff of 1e-9 of mu), so the step h/2 has the
+    # error (FD_h - FD_h/2)/15, and mu must sit within that distance of the
+    # Richardson value FD_h/2 - (FD_h - FD_h/2)/15: 2e-9 of mu at F = 0,
+    # 2e-8 at F = 1.2.  N = 256: at N = 128 the gamma = 1 cell solution is
+    # converged only to 1e-6..6e-8, and so is mu (8e-8 off at F = 1.2)
+    params = _params(gamma=gamma, beta=5.0, force=force)
+    trunc = TruncationSpec(256, 24)
+    mu = solve_transport(params, trunc).mobility
+    coarse, fine = _five_point(params, trunc, 0.01), _five_point(params, trunc, 0.005)
+    error = abs(coarse - fine) / 15.0
+    assert abs(mu - (fine - (coarse - fine) / 15.0)) <= error
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 50.0])
+def test_einstein_relation_from_the_mobility(gamma):
+    # at F = 0, D = mu/beta: the fluctuation-dissipation theorem, which the
+    # two pairings of one adaptive solve meet at roundoff (5e-13 measured)
+    params = _params(gamma=gamma, beta=5.0)
+    res = solve_transport(params, TruncationSpec(64, 24), adaptive=True)
+    assert abs(res.d_primary * params.beta / res.mobility - 1.0) <= 1e-10
 
 
 def test_transport_truncation_convergence():
