@@ -13,9 +13,9 @@ from .model import (ModelParams, PeriodicPotential, ReferenceScales,
 from .basis import (FourierVector, HermiteFourierField, TruncationSpec,
                     apply_lower, apply_momentum, apply_raise)
 from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
-                        TransportResult, compute_diffusion, displaced_blocks,
-                        factor_hierarchy, hierarchy_blocks, solve_cell_problem,
-                        solve_stationary_fp, solve_transport)
+                        TransportResult, compute_diffusion, factor_hierarchy,
+                        hierarchy_blocks, solve_cell_problem, solve_stationary_fp,
+                        solve_transport)
 from .expansion import (EquilibriumChain, ExpansionTable, build_chain,
                         diffusion_coefficients, partial_sum_D, partial_sum_U,
                         series_radius_estimate, velocity_coefficient)
@@ -32,7 +32,7 @@ __all__ = [
     "FourierVector", "HermiteFourierField", "TruncationSpec",
     "apply_lower", "apply_momentum", "apply_raise",
     "HierarchyBlocks", "HierarchyFactors", "StationaryDensity", "TransportResult",
-    "compute_diffusion", "displaced_blocks", "factor_hierarchy", "hierarchy_blocks",
+    "compute_diffusion", "factor_hierarchy", "hierarchy_blocks",
     "solve_cell_problem", "solve_stationary_fp", "solve_transport",
     "EquilibriumChain", "ExpansionTable", "build_chain",
     "diffusion_coefficients", "partial_sum_D", "partial_sum_U",

@@ -46,9 +46,10 @@ from .basis import (
     apply_raise,
     gibbs_gram,
     gibbs_inner,
+    packed_dq_matrix,
+    packed_mult_matrix,
 )
-from .transport import (SolverError, _level_ratios, factor_hierarchy,
-                        hierarchy_blocks, solve_levels)
+from .transport import SolverError, _level_ratios, factor_hierarchy, solve_levels
 
 __all__ = [
     "EquilibriumChain",
@@ -72,9 +73,9 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec):
     """Sparse CSR matrix of -L on stacked level coefficients.
 
     Level m couples to m-1 and m+1 through d/dq and the tilt drift; the
-    Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  With
-    d_q, T the blocks of :func:`~washboard.transport.hierarchy_blocks`, the
-    blocks of level m are
+    Ornstein-Uhlenbeck part contributes +gamma*m on the diagonal of -L.  In
+    the basis centred at p = 0, with d_q the packed d/dq matrix and T the
+    packed multiplication by F - V'(q), the blocks of level m are
 
         sub-diagonal    -sqrt(m/beta) d_q
         diagonal        gamma m I
@@ -93,11 +94,13 @@ def assemble_generator(params: ModelParams, trunc: TruncationSpec):
     """
     import scipy.sparse as sp
 
-    blocks = hierarchy_blocks(params, trunc)
-    N, size = trunc.n_hermite, blocks.size
+    trunc.check_potential(params.potential)
+    N, M, L = trunc.n_hermite, trunc.n_fourier, params.potential.period
+    d_q = packed_dq_matrix(M, L)
+    tilt = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
+    size = d_q.shape[0]
     n = (N + 1) * size
     beta = params.beta
-    d_q, tilt = blocks.d_q, blocks.tilt
     lower = size * np.arange(N)[:, None]   # first row of levels 0..N-1
     upper = lower + size                   # first row of levels 1..N
     up = np.arange(1, N + 1)

@@ -65,7 +65,6 @@ __all__ = [
     "StationaryDensity",
     "TransportResult",
     "hierarchy_blocks",
-    "displaced_blocks",
     "factor_hierarchy",
     "solve_levels",
     "solve_stationary_fp",
@@ -95,8 +94,8 @@ class HierarchyBlocks:
     """The n-independent blocks of both level hierarchies.
 
     ``d_q`` is the packed d/dq matrix and ``tilt`` T the packed multiplication
-    by (F - gamma p0 - V'(q)) in the Hermite basis centred at ``p0``.  Row n
-    of the cell hierarchy for phi is
+    by F - gamma p0 - V'(q) = -V'(q) in the Hermite basis centred at ``p0`` =
+    F/gamma.  Row n of the cell hierarchy for phi is
 
         sqrt(n) d_q Phi_{n-1} + (shift d_q - gamma sqrt(beta) n) Phi_n
             + sqrt(n+1) drift Phi_{n+1},        drift = d_q + beta T,
@@ -116,8 +115,8 @@ class HierarchyBlocks:
     drift: np.ndarray
     lift: np.ndarray
     metric: np.ndarray
-    p0: float = 0.0
-    shift: float = 0.0
+    p0: float
+    shift: float
 
     @property
     def size(self) -> int:
@@ -136,27 +135,25 @@ class HierarchyBlocks:
 
 
 def hierarchy_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlocks:
-    """Assemble the n-independent blocks in the Maxwellian basis centred at p = 0."""
+    """The n-independent blocks in the basis centred at the free drift
+    p0 = F/gamma.
+
+    They are the blocks of the untilted problem with the diagonal shift
+    sqrt(beta) p0 d_q.  The tilt is read from the untilted drift coefficients,
+    not from F - gamma p0: that is 0 in exact arithmetic but not always in
+    floating point (-1.1e-16 at F = 0.7, gamma = 0.3), and the solutions'
+    bits would move with it.
+    """
     trunc.check_potential(params.potential)
     M = trunc.n_fourier
     L = params.potential.period
+    p0 = params.force / params.gamma
     d_q = packed_dq_matrix(M, L)
-    tilt = packed_mult_matrix(params.potential.tilt_drift_coeffs(params.force), M, L)
+    tilt = packed_mult_matrix(params.potential.tilt_drift_coeffs(0.0), M, L)
     return HierarchyBlocks(friction=params.gamma * np.sqrt(params.beta), d_q=d_q,
                            tilt=tilt, drift=d_q + params.beta * tilt,
-                           lift=d_q - params.beta * tilt, metric=packed_metric(M))
-
-
-def displaced_blocks(params: ModelParams, trunc: TruncationSpec) -> HierarchyBlocks:
-    """The blocks the solvers use: basis centred at the free drift p0 = F/gamma.
-
-    The tilt F - gamma p0 is exactly 0, so these are the blocks of the
-    untilted problem with the diagonal shift sqrt(beta) p0 d_q; at F = 0 they
-    equal :func:`hierarchy_blocks`.
-    """
-    p0 = params.force / params.gamma
-    blocks = hierarchy_blocks(params.with_force(0.0), trunc)
-    return replace(blocks, p0=p0, shift=np.sqrt(params.beta) * p0)
+                           lift=d_q - params.beta * tilt, metric=packed_metric(M),
+                           p0=p0, shift=np.sqrt(params.beta) * p0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,7 @@ class HierarchyFactors:
     exactly zero (constants solve the homogeneous problem).  It is a copy
     of ``inverses[0]``, the scratch slot G_0 was built in, so dropping
     ``inverses`` frees the whole stack.  ``params`` and ``trunc`` record the
-    problem the factors belong to, ``blocks`` the basis.  ``inverses`` is
+    problem the factors belong to, ``blocks`` its blocks.  ``inverses`` is
     None in the factors :func:`solve_transport` keeps past the cell solve.
     """
 
@@ -191,8 +188,7 @@ class HierarchyFactors:
 
 
 @one_thread()
-def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
-                     blocks: HierarchyBlocks | None = None) -> HierarchyFactors:
+def factor_hierarchy(params: ModelParams, trunc: TruncationSpec) -> HierarchyFactors:
     """Invert the Schur complements G_N..G_1 of the cell hierarchy.
 
     With Q_n^+ = sqrt(n) d_q and Q_n^- = sqrt(n+1) drift, the elimination step
@@ -202,16 +198,11 @@ def factor_hierarchy(params: ModelParams, trunc: TruncationSpec,
     (:func:`washboard.blas.inverter`, whose pointers into the stack are made
     once per factorization).  The next step's product is written into slot
     n-1, so slot 0 ends as scratch holding G_0, of which ``bottom`` is a copy.
-    ``blocks`` defaults to :func:`displaced_blocks`; blocks centred elsewhere
-    than F/gamma raise ValueError.  Runs on one BLAS thread
+    The blocks are :func:`hierarchy_blocks`.  Runs on one BLAS thread
     (:mod:`washboard.blas`): threading kernels on blocks this small costs
     more than it gains.
     """
-    if blocks is None:
-        blocks = displaced_blocks(params, trunc)
-    elif blocks.p0 != params.force / params.gamma:
-        raise ValueError(f"blocks are centred at p0={blocks.p0}, the solver's basis "
-                         f"at F/gamma={params.force / params.gamma}")
+    blocks = hierarchy_blocks(params, trunc)
     N = trunc.n_hermite
     size = blocks.size
     friction = blocks.friction
@@ -278,8 +269,7 @@ def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks) -> float:
 
 
 @one_thread()
-def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
-                        blocks: HierarchyBlocks | None = None) -> StationaryDensity:
+def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec) -> StationaryDensity:
     """Stationary density and effective drift.
 
     Factors the cell hierarchy (:func:`factor_hierarchy`) and runs the
@@ -288,11 +278,9 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
     probability flux), d_q (R_1 + sqrt(beta) p0 R_0) = 0, together with the
     normalization  L * R_0^0 = 1  closes the remaining one-dimensional
     freedom, and U = p0 + L R_1^0 / sqrt(beta).  The returned coefficients
-    are in the basis centred at p0 = F/gamma.  ``blocks`` lets a caller that
-    solves several truncations of one problem build them once; they must be
-    :func:`displaced_blocks` of the same problem.
+    are in the basis centred at p0 = F/gamma.
     """
-    factors = factor_hierarchy(params, trunc, blocks)
+    factors = factor_hierarchy(params, trunc)
     blocks = factors.blocks
     N = trunc.n_hermite
     L = params.potential.period
@@ -338,28 +326,22 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec,
 # Cell problem
 # ---------------------------------------------------------------------------
 
-def solve_cell_problem(params: ModelParams, trunc: TruncationSpec,
-                       density: StationaryDensity) -> HermiteFourierField:
+def solve_cell_problem(density: StationaryDensity) -> HermiteFourierField:
     """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
 
-    The coefficients are in the basis of ``density``, centred at
+    The problem, its truncation and the factors are those ``density`` was
+    solved with, and the coefficients are in its basis, centred at
     p0 = F/gamma, where p - U = (p0 - U) + H_1(p - p0) / sqrt(beta).
     :func:`solve_levels` solves the hierarchy with left null vector W R_0,
     and the discretized centering condition
-    sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0  then fixes Phi_0^0.  The factors
-    come from ``density``, which must be solved for the same params and
-    truncation.
+    sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0  then fixes Phi_0^0.
     """
-    phi, _ = _solve_cell(params, trunc, density)
+    phi, _ = _solve_cell(density)
     return phi
 
 
-def _solve_cell(params: ModelParams, trunc: TruncationSpec,
-                density: StationaryDensity) -> tuple[HermiteFourierField, dict]:
-    if density.trunc != trunc:
-        raise ValueError("density truncation does not match trunc")
-    if density.params != params:
-        raise ValueError("density was solved for other params")
+def _solve_cell(density: StationaryDensity) -> tuple[HermiteFourierField, dict]:
+    params = density.params
     factors = density.factors
     blocks = factors.blocks
     R = density.field.coeffs
@@ -455,11 +437,29 @@ class TransportResult:
     spread of the quadrature's momentum cutoff scan: when it is not small
     relative to d_primary the quadrature (not the solve) lost accuracy.
 
-    ``diagnostics`` holds the density's solve diagnostics, the top-level
-    ratio of the cell solution, the basis centre ``p0`` = F/gamma and the
-    coefficient growth ``log10_growth_R`` = log10(max_n |R_n| / |R_0|) and
-    ``log10_growth_phi`` = log10(max_n |Phi_n| / |Phi_0|), with |.| the
-    largest packed coefficient of a level.
+    ``diagnostics`` holds, with |.| the largest packed coefficient of a level
+    and max |R| that of all levels, from :func:`compute_diffusion`:
+
+    - the density's, from :func:`solve_stationary_fp`: ``top_level_ratio``
+      |R_N| / max |R|; ``hierarchy_residual``, the largest residual of the
+      density rows n = 1..N over max |R|; ``normalization_residual``
+      |L R_0^0 - 1|; ``flux_residual``, the n = 0 row (constant probability
+      flux) over max |R|;
+    - ``top_level_ratio_phi`` |Phi_N| / max |Phi|;
+    - ``p0``, the basis centre F/gamma;
+    - ``log10_growth_R`` = log10(max_n |R_n| / |R_0|) and
+      ``log10_growth_phi`` = log10(max_n |Phi_n| / |Phi_0|);
+
+    and from :func:`solve_transport`:
+
+    - ``solvability_defect``, the cell solve's left-null component
+      (:func:`solve_levels`), recorded up to 1e-3 and a SolverError above;
+    - ``adaptive_cap_hit``, True when no rung of an adaptive ladder
+      converged (absent otherwise);
+    - the ladder: ``ladder_start`` (the rung the returned answer's climb
+      began at), ``rungs_solved`` (truncations solved in the call),
+      ``rungs_tried`` (their N, in the order solved) and ``rungs_certified``
+      (rungs below the answer skipped as certified failures).
     """
 
     drift: float
@@ -613,8 +613,7 @@ def _hermite_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gradient_squared_quadrature(density: StationaryDensity,
-                                 phi: HermiteFourierField,
-                                 params: ModelParams) -> tuple[float, float]:
+                                 phi: HermiteFourierField) -> tuple[float, float]:
     """gamma/beta * int (d_p phi)^2 rho dp dq with an automatic momentum cutoff.
 
     Hermite series evaluated far outside their oscillatory region amplify
@@ -630,6 +629,7 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     The rule runs in x = sqrt(beta) (p - p0), the variable of the fields'
     basis, so mu = sqrt(beta) max(|U - p0|, |F/gamma - p0|).
     """
+    params = density.params
     beta, gamma = params.beta, params.gamma
     L = params.potential.period
     R = density.field.coeffs
@@ -686,8 +686,8 @@ def _level_pairs(x: np.ndarray, y: np.ndarray, metric: np.ndarray) -> np.ndarray
 
 
 @one_thread()
-def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
-                      params: ModelParams) -> TransportResult:
+def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField
+                      ) -> TransportResult:
     """Diffusion coefficient from the level-pairing formula plus the
     gradient-squared cross-check, and the mobility dU/dF.
 
@@ -712,8 +712,7 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
     """
     if density.field.coeffs.shape != phi.coeffs.shape:
         raise ValueError("density and cell solution truncations differ")
-    beta = params.beta
-    L = params.potential.period
+    beta, L = density.params.beta, density.params.potential.period
     R, P = density.field.coeffs, phi.coeffs
     N = R.shape[0] - 1
     metric = density.factors.blocks.metric
@@ -725,7 +724,7 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField,
         raise SolverError(f"D = {d_primary:.3e} is not positive at N = {N}, "
                           f"M = {phi.n_fourier}: the truncation is too small")
 
-    d_ibp, stability = _gradient_squared_quadrature(density, phi, params)
+    d_ibp, stability = _gradient_squared_quadrature(density, phi)
 
     diagnostics = dict(density.diagnostics)
     pscale = max(float(np.abs(P).max()), 1e-300)
@@ -790,7 +789,7 @@ class _Rung:
         return float(self._envelopes[n])
 
     def floor(self, n: int) -> float:
-        """The smallest envelope over levels 0..n."""
+        """The smallest envelope over levels 0..n; it never rises with n."""
         return float(self._envelopes[: n + 1].min())
 
     @property
@@ -838,15 +837,8 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     more than ``_CERT_FACTOR`` times above the tolerance.
     ``tests/test_transport.py`` guards it on the fig1 sweeps, and the
     continuation tests compare continued and fresh rows on fig3's gamma=0.5
-    sweep.
-
-    ``diagnostics`` records the ladder: ``ladder_start`` (the rung the
-    returned answer's climb began at), ``rungs_solved`` (truncations solved
-    in this call), ``rungs_tried`` (their N, in the order solved) and
-    ``rungs_certified`` (rungs below the answer skipped as certified
-    failures).
+    sweep.  ``diagnostics`` records the ladder (see :class:`TransportResult`).
     """
-    blocks = displaced_blocks(params, trunc)
     n0 = trunc.n_hermite
     rungs = _ladder(n0) if adaptive else [n0]
     tried = []
@@ -857,59 +849,46 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
         solved."""
         tried.append(n)
         cur = trunc.with_n_hermite(n)
-        density = solve_stationary_fp(params, cur, blocks=blocks)
+        density = solve_stationary_fp(params, cur)
         if n != rungs[-1] and density.diagnostics["top_level_ratio"] > _ADAPT_TOL:
             return None
-        phi, cell_diag = _solve_cell(params, cur, density)
+        phi, cell_diag = _solve_cell(density)
         # N+1 inverses (30 MB at N = 1536, M = 24) are not needed past the
         # cell solve; a rung kept through the next rung's solve and through
         # compute_diffusion would otherwise hold them
         density = replace(density, factors=replace(density.factors, inverses=None))
         return _Rung(density, phi, cell_diag)
 
-    def climb(ladder: list[int]) -> _Rung | None:
-        """First converged rung, or None on a SolverError or at the cap."""
-        for n in ladder:
+    def first_converged(ns: list[int], stop_at_error: bool = False) -> _Rung | None:
+        """The first rung of ``ns`` that converges; None when none does, or
+        with ``stop_at_error`` at the first SolverError.  Without it the walk
+        goes on past the error: below a working truncation a Schur complement
+        is often singular or solvability is lost."""
+        for n in ns:
             try:
                 rung = solve(n)
             except SolverError:
-                return None
+                if stop_at_error:
+                    return None
+                continue
             if rung is not None and rung.converged:
                 return rung
         return None
 
-    answer, certified = None, 0
+    answer = None
     if start in rungs[1:]:
-        below = rungs[:rungs.index(start)]
-        answer = climb(rungs[rungs.index(start):])
-        if answer is not None:
-            ladder_start, top = start, answer
-            for n in below:   # ascending: `certified` counts the rungs below n
-                if top.floor(n) > _CERT_FACTOR * _ADAPT_TOL:
-                    certified += 1
-                    continue
-                try:
-                    rung = solve(n)
-                except SolverError:
-                    continue
-                if rung is not None and rung.converged:
-                    answer = rung
-                    break
-    if answer is None:
+        i = rungs.index(start)
+        answer = first_converged(rungs[i:], stop_at_error=True)
+    if answer is not None:
+        # floor(n) never rises with n, so the certified rungs are the lowest
+        ladder_start = start
+        certified = sum(answer.floor(n) > _CERT_FACTOR * _ADAPT_TOL for n in rungs[:i])
+        answer = first_converged(rungs[certified:i]) or answer
+    else:
         ladder_start, certified = n0, 0
-        for i, n in enumerate(rungs):
-            try:
-                answer = solve(n)
-            except SolverError:
-                # below a working truncation a Schur complement is often
-                # singular or solvability is lost; retry larger before giving up
-                if i + 1 < len(rungs):
-                    continue
-                raise
-            if answer is not None and answer.converged:
-                break
+        answer = first_converged(rungs[:-1]) or solve(rungs[-1])
 
-    result = compute_diffusion(answer.density, answer.phi, params)
+    result = compute_diffusion(answer.density, answer.phi)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(answer.cell_diag)
     if adaptive and not answer.converged:

@@ -100,6 +100,40 @@ def test_traced_benchmark_targets_resolve():
         assert callable(obj)
 
 
+def test_traced_ladder_records_one_stationary_span_per_rung():
+    # the traced benchmark reads each rung's n_hermite off the second
+    # positional argument of solve_stationary_fp, and counts the rungs an
+    # adaptive solve discards from that function's spans; so every rung must
+    # be solved by one call through the module attribute, trunc passed
+    # positionally.  fig3's gamma=0.5 point at F=2.75 climbs five rungs.
+    spans_py = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    code = "\n".join([
+        "import importlib.util, json",
+        f"spec = importlib.util.spec_from_file_location('spans', {str(spans_py)!r})",
+        "spans = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(spans)",
+        "from washboard import transport",
+        "from washboard.basis import TruncationSpec",
+        "from washboard.model import ModelParams, PeriodicPotential",
+        "recorder = spans.Recorder('ladder')",
+        "spans.install(recorder)",
+        "params = ModelParams(gamma=0.5, beta=5.0, force=2.75,",
+        "                     potential=PeriodicPotential.cosine(1.0, 1.0))",
+        "res = transport.solve_transport(params, TruncationSpec(64, 24), adaptive=True)",
+        "stationary = [s.attrs['n_hermite'] for s in recorder.spans",
+        "              if s.name == 'transport.solve_stationary_fp']",
+        "metrics = spans.layer_metrics(recorder.spans)",
+        "print(json.dumps([res.diagnostics['rungs_tried'], stationary,",
+        "                  metrics['transport.discarded_truncations']]))",
+    ])
+    env_path = str(pathlib.Path(washboard.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": env_path})
+    tried, stationary, discarded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert tried == stationary == [64, 96, 128, 192, 256]
+    assert discarded == len(tried) - 1
+
+
 def test_traced_sweep_writes_the_untraced_csv(tmp_path):
     # the traced benchmark wraps run_sweep and forwards its three arguments
     # positionally; the gamma = 0 point fails, and its row must still carry
