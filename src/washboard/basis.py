@@ -100,8 +100,14 @@ def hermite_table(n_max: int, x) -> np.ndarray:
     T[0] = 1.0
     if n_max >= 1:
         T[1] = x
-    for n in range(1, n_max):
-        T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
+    root = np.sqrt(np.arange(n_max + 1))
+    work = np.empty(x.size)
+    for n in range(1, n_max):       # T[n+1] = (x T[n] - sqrt(n) T[n-1]) / sqrt(n+1)
+        row = T[n + 1]
+        np.multiply(x, T[n], row)
+        np.multiply(root[n], T[n - 1], work)
+        np.subtract(row, work, row)
+        np.divide(row, root[n + 1], row)
     return T.T
 
 

@@ -303,14 +303,15 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     carry their converged truncation to the next point (``_Continuation``).
     The helpers are forked before this process solves anything, so every
     chunk climbs the ladder from n0 at its own first point.  Each chunk
-    after the first costs one more climb of CPU time (0.36-0.49 s at
-    gamma = 0.01, against 0.12-0.21 s for a continued point, on a 2-core
-    Xeon).  That is cheaper in wall time than solving one first point before
-    the fork, which leaves the other CPUs idle for a whole climb: it saves
-    about one point per sweep.  Continued rows are the rows a fresh ladder
-    gives, so the split does not change them.  This process solves the first
-    chunk, the smallest, and forked helpers the others; each helper sends
-    its rows back pickled through a pipe.  A helper that cannot be started,
+    after the first costs one more climb of CPU time (0.19 s at
+    gamma = 0.01 for fig1's climb from N = 256 to 1536, against 0.07 s for a
+    continued point at N = 1536, on a 2-core Xeon).  That is cheaper in wall
+    time than solving one first point before the fork, which leaves the
+    other CPUs idle for a whole climb: it saves about one point per sweep.
+    Continued rows are the rows a fresh ladder gives, so the split does not
+    change them.  This process solves the first chunk, the smallest, and
+    forked helpers the others; each helper sends its rows back pickled
+    through a pipe.  A helper that cannot be started,
     dies or sends no valid rows has its chunk solved here, to the same rows.
     Helpers are killed and reaped on every way out, also when
     ``point_fn.alongside`` raises.

@@ -43,6 +43,7 @@ class Harmonic(NamedTuple):
     freq: np.ndarray    # k*w1
     coeff: np.ndarray   # a, the coefficient in V
     slope: np.ndarray   # a*k*w1, the amplitude of the term's derivative
+    neg_slope: np.ndarray   # -a*k*w1, for a cosine term that opens V'
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,8 @@ class PeriodicPotential:
         w1 = self.omega1
 
         def terms(coeffs):
-            return tuple(Harmonic(_scalar(k * w1), _scalar(a), _scalar(a * k * w1))
+            return tuple(Harmonic(_scalar(k * w1), _scalar(a), _scalar(a * k * w1),
+                                  _scalar(-(a * k * w1)))
                          for k, a in enumerate(coeffs, start=1) if a != 0.0)
 
         return terms(self.cos_coeffs), terms(self.sin_coeffs)
@@ -122,27 +124,38 @@ class PeriodicPotential:
         """V'(q), the exact term-by-term derivative.
 
         A caller that steps many times passes ``out`` and ``work``, float
-        arrays of q's shape: V'(q) is then written into ``out`` and no array
-        is allocated.  The bits are the same either way.
+        arrays of q's shape (q itself a float array): V'(q) is then written
+        into ``out`` and no array is allocated.  The bits are the same either
+        way.  The first term is written straight into ``out``, so V' may read
+        -0.0 where a sum started from +0.0 would read +0.0; nothing else
+        differs from that sum.
         """
-        q = np.asarray(q, dtype=float)
-        if out is None:
-            out = np.zeros_like(q)
-        else:
-            out.fill(0.0)
-        if work is None:
-            work = np.empty_like(q)
+        if out is None or work is None:
+            q = np.asarray(q, dtype=float)
+            out = np.empty_like(q) if out is None else out
+            work = np.empty_like(q) if work is None else work
         cos_terms, sin_terms = self.harmonics
+        empty = True                 # out holds no term yet
         for h in cos_terms:          # out -= slope * sin(freq * q)
-            np.multiply(q, h.freq, out=work)
-            np.sin(work, out=work)
-            work *= h.slope
-            out -= work
+            np.multiply(q, h.freq, work)
+            np.sin(work, work)
+            if empty:
+                np.multiply(work, h.neg_slope, out)
+                empty = False
+            else:
+                work *= h.slope
+                out -= work
         for h in sin_terms:          # out += slope * cos(freq * q)
-            np.multiply(q, h.freq, out=work)
-            np.cos(work, out=work)
-            work *= h.slope
-            out += work
+            np.multiply(q, h.freq, work)
+            np.cos(work, work)
+            if empty:
+                np.multiply(work, h.slope, out)
+                empty = False
+            else:
+                work *= h.slope
+                out += work
+        if empty:
+            out.fill(0.0)
         return out
 
     def is_symmetric(self) -> bool:

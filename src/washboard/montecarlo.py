@@ -22,12 +22,12 @@ noise chunk by chunk, while the caller steps through the chunk before.  The
 two chunks live in an anonymous shared ``mmap`` and are handed over through
 a pipe each way; their 2 x ``_CHUNK`` steps take the memory one chunk of
 twice that length used to.  On one thread, a force of the ``mc`` benchmark
-workload (500 trajectories x 5e4 steps, 2-core Xeon) spends 0.30 s on
-Philox fills, 0.04 s on the transposed scaling and 0.48 s on the step
+workload (500 trajectories x 5e4 steps, 2-core Xeon) spends 0.31 s on
+Philox fills, 0.04 s on the transposed scaling and 0.42 s on the step
 arithmetic; with the helper only the last blocks.  It is a process and not
 a thread because the step loop's ufuncs on a few hundred trajectories never
-release the GIL: a thread producer made the workload slower (2.55 s
-against 2.40 s on one thread), the helper faster (1.45 s).  The helper
+release the GIL: a thread producer made the workload slower (2.39-2.43 s
+against 2.29 s on one thread), the helper faster (1.32 s).  The helper
 fills exactly as the caller would, so results are the same bits with or
 without it; where no helper can be started the caller fills each chunk
 itself.  :mod:`washboard._fork` forks the helper and states the caveats.
@@ -171,33 +171,43 @@ def simulate(config: McConfig) -> McEstimate:
     p = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens])
 
     # Scalars go in as 0-d arrays, which ufuncs take faster than Python
-    # floats (same bits).
+    # floats (same bits).  V' and the ufuncs are looked up once and take
+    # ``out`` positionally, which they also parse faster.
     force_, gamma_, dt_ = np.array(force), np.array(gamma), np.array(dt)
+    deriv = pot.derivative
+    mul, sub, add = np.multiply, np.subtract, np.add
 
     n = config.n_traj
     q_mark = np.empty(n)
     acc = np.empty(n)
     work = np.empty(n)
+
+    def advance(rows):
+        """One step of every trajectory per row of noise."""
+        for xi in rows:
+            # p += ((-V'(q) + F) - gamma p) dt + amp xi;  q += p dt
+            deriv(q, acc, work)
+            sub(force_, acc, acc)       # F - V' == -V' + F
+            mul(p, gamma_, work)
+            sub(acc, work, acc)
+            mul(acc, dt_, acc)
+            add(acc, xi, acc)
+            add(p, acc, p)
+            mul(p, dt_, work)
+            add(q, work, q)
+
     step = 0
     # A diverging path overflows mid-chunk; the check after the chunk names it.
     with closing(_noise_chunks(gens, config.n_steps, noise_amp)) as chunks, \
             np.errstate(over="ignore", invalid="ignore"):
         for noise in chunks:
             mark = config.n_burnin - step
-            for t in range(len(noise)):
-                if t == mark:
-                    q_mark[:] = q
-                # p += ((-V'(q) + F) - gamma p) dt + amp xi;  q += p dt
-                pot.derivative(q, out=acc, work=work)
-                np.subtract(force_, acc, out=acc)     # F - V' == -V' + F
-                np.multiply(p, gamma_, out=work)
-                acc -= work
-                acc *= dt_
-                acc += noise[t]
-                p += acc
-                np.multiply(p, dt_, out=work)
-                q += work
             step += len(noise)
+            if 0 <= mark < len(noise):      # the burn-in ends in this chunk
+                advance(noise[:mark])
+                q_mark[:] = q
+                noise = noise[mark:]
+            advance(noise)
             if not np.all(np.isfinite(q)):
                 bad = int(np.nonzero(~np.isfinite(q))[0][0])
                 raise FloatingPointError(

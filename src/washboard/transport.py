@@ -449,6 +449,9 @@ class TransportResult:
     - ``p0``, the basis centre F/gamma;
     - ``log10_growth_R`` = log10(max_n |R_n| / |R_0|) and
       ``log10_growth_phi`` = log10(max_n |Phi_n| / |Phi_0|);
+    - at F = 0 only, ``einstein_gap`` = d_primary beta / mobility - 1, which
+      the Einstein relation makes zero up to roundoff in a converged solve
+      (inf when the mobility is 0);
 
     and from :func:`solve_transport`:
 
@@ -574,6 +577,17 @@ def _gauss_maxwell_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=32)
+def _ibp_fourier_table(n_fourier: int, period: float) -> np.ndarray:
+    """Read-only :func:`fourier_table` on the gradient-squared quadrature's q
+    grid, max(64, 8 n_fourier) equispaced points of the period, built once
+    per (n_fourier, period) (sweeps repeat it)."""
+    n_q = max(64, 8 * n_fourier)
+    table = fourier_table(n_fourier, period, np.arange(n_q) * period / n_q)
+    table.flags.writeable = False
+    return table
+
+
 def _hermite_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """The roots of He_{n_p}, ascending, and their Gauss weights up to a
     common factor, for even n_p >= 24.
@@ -640,11 +654,9 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     n_eff = min(max(_trim_levels(dphi), _trim_levels(R), 8), R.shape[0])
     dphi = dphi[:n_eff]
     Rt = R[:n_eff]
-    M = phi.n_fourier
-    n_q = max(64, 8 * M)
     x, wp = _gauss_maxwell_rule(2 * n_eff + 8)
-    q = np.arange(n_q) * L / n_q
-    ftab = fourier_table(M, L, q)
+    ftab = _ibp_fourier_table(phi.n_fourier, L)
+    n_q = ftab.shape[1]
     wq = np.full(n_q, L / n_q)
 
     p0 = density.field.p0
@@ -731,6 +743,9 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField
     diagnostics["top_level_ratio_phi"] = float(np.abs(P[N]).max()) / pscale
     diagnostics.update(p0=density.field.p0, log10_growth_R=_log10_growth(R),
                        log10_growth_phi=_log10_growth(P))
+    if density.params.force == 0.0:
+        diagnostics["einstein_gap"] = (d_primary * beta / mobility - 1.0
+                                       if mobility else np.inf)
     return TransportResult(
         drift=density.drift,
         d_primary=d_primary,

@@ -46,6 +46,28 @@ def test_hermite_table_values():
     assert hermite_table(3, x)[:, 3] == pytest.approx((x ** 3 - 3 * x) / np.sqrt(6.0))
 
 
+def _hermite_table_expression(n_max, x):
+    # the recurrence as one array expression per level
+    T = np.empty((n_max + 1, x.size))
+    T[0] = 1.0
+    if n_max >= 1:
+        T[1] = x
+    for n in range(1, n_max):
+        T[n + 1] = (x * T[n] - np.sqrt(n) * T[n - 1]) / np.sqrt(n + 1)
+    return T.T
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 64, 1536])
+def test_hermite_table_bits_match_the_expression(n_max):
+    # 448 nodes, as in the IBP table of a gamma = 0.01 fig1 point at
+    # n_max = 1536, with signed zeros and, for the low orders, values far
+    # outside the oscillatory region
+    x = np.concatenate([np.linspace(-40.0, 40.0, 446), [0.0, -0.0]])
+    table, expected = hermite_table(n_max, x), _hermite_table_expression(n_max, x)
+    assert np.array_equal(table, expected)
+    assert np.array_equal(np.signbit(table), np.signbit(expected))
+
+
 def test_hermite_orthonormality_by_quadrature():
     beta = 3.0
     x, w = transport._gauss_maxwell_rule(40)    # the unit Maxwellian's rule

@@ -171,6 +171,23 @@ def test_harmonic_table_bit_identical_to_term_loop(pot):
         assert np.array_equal(pot.evaluate(q), np.full_like(q, pot.offset))
 
 
+@pytest.mark.parametrize("pot", [
+    PeriodicPotential.cosine(1.0, 1.0),
+    PeriodicPotential(period=2.0, cos_coeffs=(0.0, -0.4), sin_coeffs=(0.3,)),
+    PeriodicPotential(period=1.5, sin_coeffs=(0.6, 0.0, -0.2)),
+])
+@pytest.mark.parametrize("force", [0.0, 0.7, -1.3])
+def test_tilted_drift_keeps_its_bits(pot, force):
+    # V' may read -0.0 where the sum from zero read +0.0 (at q = 0 for a
+    # cosine), but F - V', all the step loop uses, has the same bits
+    q = np.concatenate([np.linspace(-3.1, 4.7, 101), [0.0, -0.0]])
+    out, work = np.empty_like(q), np.empty_like(q)
+    drift = force - pot.derivative(q, out, work)
+    expected = force - _reference_derivative(pot, q)
+    assert np.array_equal(drift, expected)
+    assert np.array_equal(np.signbit(drift), np.signbit(expected))
+
+
 def test_harmonic_table_outside_dataclass_identity():
     a = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.2), sin_coeffs=(0.3,))
     b = PeriodicPotential(period=1.0, cos_coeffs=(1.0, 0.0, 0.2), sin_coeffs=(0.3,))

@@ -213,8 +213,18 @@ def _multi(force):
                                                    offset=1.5))
 
 
+def _sine(force):
+    # its first nonzero term is a sine term, which V' writes straight into out
+    return ModelParams(gamma=0.8, beta=3.0, force=force,
+                       potential=PeriodicPotential(period=1.5,
+                                                   sin_coeffs=(0.6, 0.0, -0.2)))
+
+
 # Exact estimates of the step loop as it summed before the harmonic table and
 # the in-place kernel (n_steps=5000 is not a multiple of the noise chunk).
+# The last two were taken from the loop that tested every step for the
+# burn-in mark and summed V' from zero; burn-in 512 puts the mark on a chunk
+# boundary (_CHUNK = 512).
 _GOLDEN = [
     (_cos151(1.0), 0,
      (0.005381204064844809, 0.015708601091201792, 0.006266697912617496,
@@ -234,6 +244,12 @@ _GOLDEN = [
     (_free(gamma=0.5, force=2.0), 77,
      (3.8514979091449555, 1.8312528891463147, 0.0681889887812343,
       0.47465607203479526, 16)),
+    (_sine(0.4), 0,
+     (0.015536520536617032, 0.04552576764716464, 0.01066838409122542,
+      0.019795280344106853, 16)),
+    (_cos151(1.0), 512,
+     (0.0005584379464107237, 0.0001459147895965946, 0.0006374971374507457,
+      4.475963232723382e-05, 16)),
 ]
 
 
@@ -276,3 +292,20 @@ def test_chunk_size_has_no_effect(monkeypatch, params, noise_path):
         monkeypatch.setattr(montecarlo, "_BLOCK", size)
         assert simulate(config) == reference
 
+
+
+@pytest.mark.parametrize("burnin", [0, 512, 700])
+def test_one_derivative_call_per_step(monkeypatch, burnin):
+    # the step loop evaluates V' once a step, however the burn-in mark
+    # splits the noise chunks
+    derivative = PeriodicPotential.derivative
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return derivative(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicPotential, "derivative", counted)
+    simulate(McConfig(dt=0.01, n_steps=1234, n_burnin=burnin, n_traj=4, seed=0,
+                      params=_cos151(1.0)))
+    assert len(calls) == 1234

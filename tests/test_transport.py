@@ -8,7 +8,7 @@ from scipy.special import roots_hermitenorm
 
 from washboard import transport
 from washboard.model import ModelParams, PeriodicPotential
-from washboard.basis import TruncationSpec, packed_dq_matrix
+from washboard.basis import TruncationSpec, fourier_table, packed_dq_matrix
 from washboard.expansion import assemble_generator, build_chain
 from washboard.transport import (SolverError, compute_diffusion, factor_hierarchy,
                                  hierarchy_blocks, solve_cell_problem,
@@ -420,6 +420,15 @@ def test_gauss_rule_is_computed_once_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
 
 
+def test_ibp_fourier_table_is_built_once_and_read_only():
+    table = transport._ibp_fourier_table(24, 1.0)
+    q = np.arange(192) / 192.0
+    assert np.array_equal(table, fourier_table(24, 1.0, q))
+    assert transport._ibp_fourier_table(24, 1.0) is table
+    assert not table.flags.writeable
+    assert transport._ibp_fourier_table(4, 2.0).shape == (9, 64)
+
+
 @pytest.mark.parametrize("n", [24, 40, 136, 150, 152, 394, 522, 3082, 16394])
 def test_gauss_rule_matches_scipy(n):
     # the sizes straddle scipy's switch of method at 150 and reach past the
@@ -560,6 +569,23 @@ def test_einstein_relation_from_the_mobility(gamma):
     params = _params(gamma=gamma, beta=5.0)
     res = solve_transport(params, TruncationSpec(64, 24), adaptive=True)
     assert abs(res.d_primary * params.beta / res.mobility - 1.0) <= 1e-10
+
+
+def test_einstein_gap_is_recorded_at_zero_tilt_only():
+    params = _params(gamma=1.0, beta=5.0)
+    res = solve_transport(params, TruncationSpec(64, 24), adaptive=True)
+    assert abs(res.diagnostics["einstein_gap"]) <= 1e-10       # -1.3e-13 measured
+    # M = 16 is too few Fourier modes for this draw: the ladder stops at its
+    # first rung, both top levels small, with D beta / mu - 1 = 0.58
+    draw = ModelParams(gamma=1.317, beta=4.311, force=0.0,
+                       potential=PeriodicPotential(period=2.948,
+                                                   cos_coeffs=(0.901, -0.712),
+                                                   sin_coeffs=(0.897, -0.376)))
+    res = solve_transport(draw, TruncationSpec(64, 16), adaptive=True)
+    assert res.n_hermite == 64 and "adaptive_cap_hit" not in res.diagnostics
+    assert res.diagnostics["einstein_gap"] > 0.1
+    tilted = solve_transport(params.with_force(0.3), TruncationSpec(64, 24), adaptive=True)
+    assert "einstein_gap" not in tilted.diagnostics
 
 
 def test_transport_truncation_convergence():
