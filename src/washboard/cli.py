@@ -9,14 +9,23 @@ mc              Euler-Maruyama ensemble estimates
 einstein-check  D vs (1/beta) dU/dF, with dU/dF the exact mobility of each solve
 fig             presets encoding the standard figure parameter sets
 
-Configuration is a JSON file (``--config``) with flat keys overridable by
-flags; all quantities are in the problem's nondimensional units, and a key
-the config does not know inside ``potential``, ``trunc``, ``sweep`` or ``mc``
-is a config error.  The points of a sweep are shared out to one forked
-process per CPU (:func:`run_sweep`), and the CSV rows come out in sweep
-order.  Every float prints with 17 significant digits, and :func:`main` runs
-BLAS on one thread, so a rerun is byte-identical whatever the CPU count or
-the BLAS thread setting (``OPENBLAS_NUM_THREADS``) of the caller.
+Configuration is a JSON file (``--config``), some of whose keys flags
+override; all quantities are in the problem's nondimensional units.  One
+table, ``_KEYS``, gives every key its default, its kind and its flag, and
+every key is checked against it once, before any subcommand runs (a ``fig``
+preset too), whether or not that subcommand reads it: a string or a bool
+where a number is wanted, 16.9 for an integer, or a key the table does not
+know inside ``potential``, ``trunc``, ``sweep`` or ``mc`` is a config error.
+JSON ``null`` means the key's default, and an unknown top-level key is
+ignored, so a config may carry the keys of other tools.  A range that a
+model type enforces (``ModelParams``, ``TruncationSpec``, ``McConfig``) is
+checked where the subcommand builds it.
+
+The points of a sweep are shared out to one forked process per CPU
+(:func:`run_sweep`), and the CSV rows come out in sweep order.  Every float
+prints with 17 significant digits, and :func:`main` runs BLAS on one thread,
+so a rerun is byte-identical whatever the CPU count or the BLAS thread
+setting (``OPENBLAS_NUM_THREADS``) of the caller.
 
 An adaptive sweep (``transport``, ``expand``, ``einstein-check``) climbs the
 half-octave Hermite ladder N = n0, 3 n0/2, 2 n0, 3 n0, .. and carries the
@@ -35,8 +44,9 @@ import json
 import os
 import pickle
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,122 +75,151 @@ class ConfigError(ValueError):
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "gamma": 1.0,
-    "beta": 5.0,
-    "force": 0.0,
-    "potential": {"L": 1.0, "cos": [1.0], "sin": [], "offset": 0.0},
-    "trunc": {"n_hermite": 64, "n_fourier": 16},
-    "sweep": {"variable": "force", "min": 0.0, "max": 2.0, "count": 9},
-    "order": 9,
-    "orders": None,
-    "adaptive": True,
-    "scale": False,
-    "mc": {"dt": 0.01, "n_steps": 100000, "n_burnin": 2000, "n_traj": 500, "seed": 1},
+class _Key(NamedTuple):
+    kind: object        # float, int, bool, list[float], list[int] or a tuple of choices
+    default: object
+    flag: str | None = None
+    help: str | None = None
+
+
+# Every config key by its dotted name, in the order of the flags in --help.
+# A bool key's flag sets the value that is not its default.
+_KEYS = {
+    "gamma": _Key(float, 1.0, "--gamma"),
+    "beta": _Key(float, 5.0, "--beta"),
+    "force": _Key(float, 0.0),
+    "potential.L": _Key(float, 1.0),
+    "potential.cos": _Key(list[float], [1.0]),
+    "potential.sin": _Key(list[float], []),
+    "potential.offset": _Key(float, 0.0),
+    "trunc.n_hermite": _Key(int, 64, "--n-hermite"),
+    "trunc.n_fourier": _Key(int, 16, "--n-fourier",
+                            "Fourier harmonics M (overdamped takes at least 64)"),
+    "order": _Key(int, 9, "--order"),
+    "orders": _Key(list[int], None),   # None: 1, (order + 1) // 2 and order
+    "mc.dt": _Key(float, 0.01),
+    "mc.n_steps": _Key(int, 100000),
+    "mc.n_burnin": _Key(int, 2000),
+    "mc.n_traj": _Key(int, 500),
+    "mc.seed": _Key(int, 1, "--seed"),
+    "scale": _Key(bool, False, "--scale"),
+    "sweep.variable": _Key(("force", "gamma"), "force", "--var"),
+    "sweep.min": _Key(float, 0.0, "--min"),
+    "sweep.max": _Key(float, 2.0, "--max"),
+    "sweep.count": _Key(int, 9, "--count"),
+    "adaptive": _Key(bool, True, "--no-adaptive"),
 }
+_SECTIONS = sorted({name.partition(".")[0] for name in _KEYS if "." in name})
+_WHAT = {float: "a number", int: "an integer", bool: "true or false",
+         list[float]: "a list of numbers", list[int]: "a list of integers"}
 
 
-def _merge(base: dict, extra: dict) -> dict:
-    """``base`` updated by ``extra``; a nested object takes only known keys."""
-    out = dict(base)
-    for key, val in extra.items():
-        if isinstance(out.get(key), dict) and val is not None:
-            if not isinstance(val, dict):
-                raise ConfigError(f"{key!r} must be a JSON object, got {val!r}")
-            unknown = sorted(set(val) - set(out[key]))
-            if unknown:
-                raise ConfigError(f"unknown keys {unknown} in {key!r}; "
-                                  f"known: {sorted(out[key])}")
-            out[key] = _merge(out[key], val)
-        elif val is not None:
-            out[key] = val
-    return out
+def _bad(name: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(_DEFAULTS)
-    if path is not None:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config {path} must hold a JSON object, "
-                              f"not a {type(loaded).__name__}")
-        cfg = _merge(cfg, loaded)
-    cfg = _merge(cfg, overrides)
-    for key in ("adaptive", "scale"):   # bool("no") would be true
-        if not isinstance(cfg[key], bool):
-            raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
+def _as_kind(kind, value):
+    """JSON ``value`` as a ``kind``, or TypeError: a bool or a string is no
+    number, and an integer key takes 64 or 64.0 but not 16.9."""
+    if kind in (list[float], list[int]):
+        if not isinstance(value, list):
+            raise TypeError
+        return [_as_kind(kind.__args__[0], v) for v in value]
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    if not ok:
+        raise TypeError
+    return kind(value) if kind in (float, int) else value   # float(10**400) overflows
+
+
+def _fill(given: dict, overrides: dict) -> dict:
+    """The config as nested dicts: each key of ``_KEYS`` from ``overrides``
+    (by dotted name), else from ``given``, else its default; checked."""
+    parts = {"": given}
+    for section in _SECTIONS:
+        part = given.get(section)
+        parts[section] = part = {} if part is None else part
+        if not isinstance(part, dict):
+            raise _bad(section, "a JSON object", part)
+        known = sorted(n.partition(".")[2] for n in _KEYS if n.startswith(section + "."))
+        unknown = sorted(set(part) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown} in {section!r}; known: {known}")
+    cfg = {section: {} for section in _SECTIONS}
+    for name, key in _KEYS.items():
+        section, _, leaf = name.rpartition(".")
+        value = overrides.get(name, parts[section].get(leaf))
+        if value is not None:
+            try:
+                value = _as_kind(key.kind, value)
+            except (TypeError, OverflowError):
+                raise _bad(name, _WHAT.get(key.kind) or " or ".join(key.kind),
+                           value) from None
+        (cfg[section] if section else cfg)[leaf] = key.default if value is None else value
+
+    sweep, order = cfg["sweep"], cfg["order"]
+    if sweep["count"] < 1:
+        raise _bad("sweep.count", ">= 1", sweep["count"])
+    for end in ("min", "max"):
+        if not np.isfinite(sweep[end]):
+            raise _bad(f"sweep.{end}", "finite", sweep[end])
+    if order < 1:
+        raise _bad("order", ">= 1", order)
+    if cfg["orders"] is None:
+        cfg["orders"] = sorted({1, (order + 1) // 2, order})
+    orders = cfg["orders"]
+    if not (orders and 1 <= min(orders) and max(orders) <= order):
+        raise _bad("orders", f"a non-empty list in 1..{order} (the order)", orders)
     return cfg
 
 
-def _number(kind, value, name: str):
-    """kind(value), with a value that is no number reported as a config error.
+def load_config(path: str | None, overrides: dict) -> dict:
+    given = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                given = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, "
+                              f"not a {type(given).__name__}")
+    return _fill(given, overrides)
 
-    A bool is no number here, although int(True) is 1.  An integer key takes
-    only an integral value: 64 and 64.0 both read as 64, but 16.9 is a config
-    error where int() would truncate it to 16.
-    """
+
+@contextmanager
+def _range_errors():
+    """A model type's ValueError, for a range it enforces, as a config error."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
-def _build_potential(spec: dict) -> PeriodicPotential:
-    try:
-        return PeriodicPotential(
-            period=_number(float, spec["L"], "potential L"),
-            cos_coeffs=tuple(_number(float, c, "potential cos entry")
-                             for c in spec.get("cos", ())),
-            sin_coeffs=tuple(_number(float, c, "potential sin entry")
-                             for c in spec.get("sin", ())),
-            offset=_number(float, spec.get("offset", 0.0), "potential offset"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad potential spec: {exc}") from exc
-
-
-def _build_params(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(gamma=_number(float, cfg["gamma"], "gamma"),
-                           beta=_number(float, cfg["beta"], "beta"),
-                           force=_number(float, cfg["force"], "force"),
-                           potential=_build_potential(cfg["potential"]))
-    except (TypeError, ValueError) as exc:
+        yield
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _build_params(cfg: dict) -> ModelParams:
+    pot = cfg["potential"]
+    with _range_errors():
+        return ModelParams(gamma=cfg["gamma"], beta=cfg["beta"], force=cfg["force"],
+                           potential=PeriodicPotential(
+                               period=pot["L"], cos_coeffs=pot["cos"],
+                               sin_coeffs=pot["sin"], offset=pot["offset"]))
+
+
 def _build_trunc(cfg: dict) -> TruncationSpec:
-    t = cfg["trunc"]
-    try:
-        return TruncationSpec(n_hermite=_number(int, t["n_hermite"], "n_hermite"),
-                              n_fourier=_number(int, t["n_fourier"], "n_fourier"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad truncation spec: {exc}") from exc
+    with _range_errors():
+        return TruncationSpec(**cfg["trunc"])
 
 
 def _sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
     s = cfg["sweep"]
-    var = s.get("variable", "force")
-    if var not in ("force", "gamma"):
-        raise ConfigError(f"sweep variable must be force or gamma, got {var!r}")
-    count = _number(int, s.get("count", 9), "sweep count")
-    if count < 1:
-        raise ConfigError("sweep count must be >= 1")
-    lo = _number(float, s.get("min", 0.0), "sweep min")
-    hi = _number(float, s.get("max", 1.0), "sweep max")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError("sweep range must be finite")
-    vals = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-    return var, vals
+    values = np.linspace(s["min"], s["max"], s["count"]) if s["count"] > 1 \
+        else np.array([s["min"]])
+    return s["variable"], values
 
 
 def _point_params(params: ModelParams, var: str, value) -> ModelParams:
@@ -434,16 +473,7 @@ def cmd_expand(cfg: dict, out: str) -> int:
     """
     params = _build_params(cfg)
     trunc = _build_trunc(cfg)
-    order = _number(int, cfg["order"], "order")
-    if order < 1:
-        raise ConfigError(f"order must be >= 1, got {order}")
-    orders = cfg["orders"] or sorted({1, (order + 1) // 2, order})
-    if not isinstance(orders, list):
-        raise ConfigError(f"orders must be a list of integers, got {orders!r}")
-    orders = [_number(int, o, "orders entry") for o in orders]
-    if min(orders) < 1 or max(orders) > order:
-        raise ConfigError(f"orders entries must be in 1..{order} (the order), "
-                          f"got {orders}")
+    order, orders = cfg["order"], cfg["orders"]
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("expand mode sweeps the force")
@@ -481,11 +511,16 @@ def cmd_expand(cfg: dict, out: str) -> int:
 
 
 def cmd_overdamped(cfg: dict, out: str) -> int:
+    """The overdamped solver against the drift quadrature over a force sweep.
+
+    It resolves at least 64 harmonics: a smaller ``trunc.n_fourier`` is raised
+    to 64, silently.
+    """
     params = _build_params(cfg)
     var, values = _sweep_values(cfg)
     if var != "force":
         raise ConfigError("overdamped mode sweeps the force")
-    n_fourier = max(_number(int, cfg["trunc"]["n_fourier"], "n_fourier"), 64)
+    n_fourier = max(cfg["trunc"]["n_fourier"], 64)
 
     def point(F):
         od = solve_overdamped(params.potential, params.beta, float(F), n_fourier)
@@ -505,17 +540,8 @@ def cmd_overdamped(cfg: dict, out: str) -> int:
 def cmd_mc(cfg: dict, out: str) -> int:
     params = _build_params(cfg)
     var, values = _sweep_values(cfg)
-    mc = cfg["mc"]
-    try:   # checked once, at the first sweep point
-        config = McConfig(
-            dt=_number(float, mc["dt"], "mc dt"),
-            n_steps=_number(int, mc["n_steps"], "mc n_steps"),
-            n_burnin=_number(int, mc["n_burnin"], "mc n_burnin"),
-            n_traj=_number(int, mc["n_traj"], "mc n_traj"),
-            seed=_number(int, mc["seed"], "mc seed"),
-            params=_point_params(params, var, values[0]))
-    except ValueError as exc:
-        raise ConfigError(f"bad mc spec: {exc}") from exc
+    with _range_errors():   # here at the first sweep point, then at each as a row
+        config = McConfig(**cfg["mc"], params=_point_params(params, var, values[0]))
 
     def point(v):
         est = simulate(replace(config, params=_point_params(params, var, v)))
@@ -565,27 +591,24 @@ def _fig1_cfg(gamma: float) -> dict:
     }
 
 
-def _fig345_cfg(gamma: float, mode_order: int | None = None) -> dict:
-    cfg = {
+def _fig345_cfg(gamma: float, sweep_max: float = 1.2, count: int = 13, **keys) -> dict:
+    return {
         "gamma": gamma, "beta": 5.0, "force": 0.0,
         "potential": {"L": 1.0, "cos": [1.0], "sin": []},
         "trunc": {"n_hermite": 64, "n_fourier": 24},
-        "sweep": {"variable": "force", "min": 0.0, "max": 1.2, "count": 13},
-        "adaptive": True,
+        "sweep": {"variable": "force", "min": 0.0, "max": sweep_max, "count": count},
+        "adaptive": True, **keys,
     }
-    if mode_order is not None:
-        cfg["order"] = mode_order
-    return cfg
 
 
 FIG_PRESETS = {
     "fig1": [("transport", _fig1_cfg(g), f"gamma{g}") for g in (0.01, 0.1, 1.0)],
-    "fig3": [("transport", _merge(_fig345_cfg(g), {"sweep": {"max": 4.0, "count": 17}}),
-              f"gamma{g}") for g in (0.5, 5.0, 10.0)],
-    "fig4": [("expand", _merge(_fig345_cfg(1.0, 9), {"orders": [1, 5, 9]}), "gamma1"),
-             ("expand", _merge(_fig345_cfg(50.0, 5), {"orders": [1, 3, 5]}), "gamma50")],
-    "fig5": [("expand", _merge(_fig345_cfg(1.0, 9), {"orders": [1, 5, 9]}), "gamma1"),
-             ("expand", _merge(_fig345_cfg(50.0, 7), {"orders": [3, 7]}), "gamma50")],
+    "fig3": [("transport", _fig345_cfg(g, sweep_max=4.0, count=17), f"gamma{g}")
+             for g in (0.5, 5.0, 10.0)],
+    "fig4": [("expand", _fig345_cfg(1.0, order=9, orders=[1, 5, 9]), "gamma1"),
+             ("expand", _fig345_cfg(50.0, order=5, orders=[1, 3, 5]), "gamma50")],
+    "fig5": [("expand", _fig345_cfg(1.0, order=9, orders=[1, 5, 9]), "gamma1"),
+             ("expand", _fig345_cfg(50.0, order=7, orders=[3, 7]), "gamma50")],
     "fig6": [("einstein-check", _fig345_cfg(1.0), "gamma1"),
              ("einstein-check", _fig345_cfg(50.0), "gamma50")],
     "fig7": [("transport", {
@@ -597,7 +620,13 @@ FIG_PRESETS = {
     }, f"F{F}") for F in (0.5, 1.0)],
 }
 
-_MODE_FN = {}   # filled below
+_MODE_FN = {
+    "transport": cmd_transport,
+    "expand": cmd_expand,
+    "overdamped": cmd_overdamped,
+    "mc": cmd_mc,
+    "einstein-check": cmd_einstein_check,
+}
 
 
 def cmd_fig(preset: str, out: str) -> int:
@@ -605,7 +634,7 @@ def cmd_fig(preset: str, out: str) -> int:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(FIG_PRESETS)}")
     worst = EXIT_OK
     for mode, cfg, tag in FIG_PRESETS[preset]:
-        cfg = _merge(dict(_DEFAULTS), cfg)
+        cfg = _fill(cfg, {})
         path = f"{out.removesuffix('.csv')}_{tag}.csv"
         code = _MODE_FN[mode](cfg, path)
         worst = max(worst, code)
@@ -613,62 +642,25 @@ def cmd_fig(preset: str, out: str) -> int:
     return worst
 
 
-_MODE_FN.update({
-    "transport": cmd_transport,
-    "expand": cmd_expand,
-    "overdamped": cmd_overdamped,
-    "mc": cmd_mc,
-    "einstein-check": cmd_einstein_check,
-})
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_flags(sub: argparse.ArgumentParser) -> None:
+    """``--config``, ``--out`` and the flag of each config key that has one."""
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--n-hermite", type=int, dest="n_hermite")
-    sub.add_argument("--n-fourier", type=int, dest="n_fourier")
-    sub.add_argument("--order", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--scale", action="store_true", default=None)
-    sub.add_argument("--var", choices=["force", "gamma"])
-    sub.add_argument("--min", type=float, dest="sweep_min")
-    sub.add_argument("--max", type=float, dest="sweep_max")
-    sub.add_argument("--count", type=int, dest="sweep_count")
-    sub.add_argument("--no-adaptive", action="store_true")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    ov: dict = {"gamma": args.gamma, "beta": args.beta, "order": args.order,
-                "scale": args.scale}
-    trunc = {}
-    if args.n_hermite is not None:
-        trunc["n_hermite"] = args.n_hermite
-    if args.n_fourier is not None:
-        trunc["n_fourier"] = args.n_fourier
-    if trunc:
-        ov["trunc"] = trunc
-    sweep = {}
-    if args.var is not None:
-        sweep["variable"] = args.var
-    if args.sweep_min is not None:
-        sweep["min"] = args.sweep_min
-    if args.sweep_max is not None:
-        sweep["max"] = args.sweep_max
-    if args.sweep_count is not None:
-        sweep["count"] = args.sweep_count
-    if sweep:
-        ov["sweep"] = sweep
-    if args.seed is not None:
-        ov["mc"] = {"seed": args.seed}
-    if args.no_adaptive:
-        ov["adaptive"] = False
-    return {k: v for k, v in ov.items() if v is not None}
+    for name, key in _KEYS.items():
+        if key.flag is None:
+            continue
+        if key.kind is bool:
+            sub.add_argument(key.flag, dest=name, action="store_const",
+                             const=not key.default, help=key.help)
+        elif isinstance(key.kind, tuple):
+            sub.add_argument(key.flag, dest=name, choices=key.kind, help=key.help)
+        else:
+            sub.add_argument(key.flag, dest=name, type=key.kind, help=key.help,
+                             metavar=name.rpartition(".")[2].upper())
 
 
 @one_thread()
@@ -683,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("transport", "expand", "overdamped", "mc", "einstein-check"):
-        _add_common(subs.add_parser(name))
+        _add_flags(subs.add_parser(name))
     fig = subs.add_parser("fig")
     fig.add_argument("preset", choices=sorted(FIG_PRESETS))
     fig.add_argument("--out", required=True)
@@ -692,7 +684,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "fig":
             return cmd_fig(args.preset, args.out)
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, {name: value for name, value in vars(args).items()
+                                        if name in _KEYS and value is not None})
         return _MODE_FN[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

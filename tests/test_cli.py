@@ -273,6 +273,11 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
     ("mc", {"mc": dict(_MC_SMALL, n_burnin=10.5)}),
     ("mc", {"mc": dict(_MC_SMALL, n_traj=4.5)}),
     ("mc", {"mc": dict(_MC_SMALL, seed=0.5)}),
+    ("transport", {"gamma": "2"}),
+    ("transport", {"trunc": {"n_hermite": "8"}}),
+    ("transport", {"sweep": {"count": "1"}}),
+    ("transport", {"potential": {"cos": ["0.3"]}}),
+    ("expand", {"orders": []}),
 ], ids=["sweep-count", "sweep-min", "sweep-not-object", "gamma", "potential-cos",
         "order", "orders", "order-zero", "orders-below-one", "orders-above-order",
         "mc-n-traj",
@@ -285,7 +290,9 @@ _MC_SMALL = {"dt": 0.01, "n_steps": 200, "n_burnin": 10, "n_traj": 4, "seed": 0}
         "trunc-n-fourier-bool", "mc-seed-bool",
         "n-hermite-fractional", "n-fourier-fractional", "sweep-count-fractional",
         "order-fractional", "orders-entry-fractional", "mc-n-steps-fractional",
-        "mc-n-burnin-fractional", "mc-n-traj-fractional", "mc-seed-fractional"])
+        "mc-n-burnin-fractional", "mc-n-traj-fractional", "mc-seed-fractional",
+        "gamma-string", "n-hermite-string", "sweep-count-string", "potential-cos-string",
+        "orders-empty"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -294,6 +301,35 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transport", "expand", "overdamped", "mc",
+                                     "einstein-check"])
+@pytest.mark.parametrize("cfg", [{"mc": {"n_traj": "many"}}, {"orders": "x"},
+                                 {"order": 0}, {"trunc": {"n_hermite": 8.5}},
+                                 {"sweep": {"count": 0}}, {"scale": "yes"}],
+                         ids=["mc-n-traj", "orders", "order-zero", "n-hermite",
+                              "sweep-count", "scale"])
+def test_malformed_key_is_a_config_error_in_every_subcommand(tmp_path, capsys,
+                                                             command, cfg):
+    # a key is checked whether or not the subcommand reads it
+    path, out = tmp_path / "bad.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_null_is_the_default(tmp_path, flat_config):
+    cfg = json.loads(open(flat_config).read())
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(dict(cfg, beta=None, orders=None, mc=None,
+                                    sweep={"min": 1.0, "max": 1.0, "count": None})))
+    out = tmp_path / "x.csv"
+    assert main(["transport", "--config", str(path), "--out", str(out)]) == 0
+    rows = parse_report(str(out))
+    assert len(rows) == 9    # the default sweep count
+    assert all(r["F"] == 1.0 and r["U"] == pytest.approx(0.5, abs=1e-12) for r in rows)
 
 
 def test_integer_keys_take_integral_values_only(tmp_path, capsys, flat_config):
