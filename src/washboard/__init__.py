@@ -8,8 +8,7 @@ dissipation shortcut away from zero tilt), and cross-validates against
 overdamped-limit quadrature oracles and Euler-Maruyama ensembles.
 """
 
-from .model import (ModelParams, PeriodicPotential, ReferenceScales,
-                    effective_potential, reference_scales)
+from .model import ModelParams, PeriodicPotential, ReferenceScales, reference_scales
 from .basis import (FourierVector, HermiteFourierField, TruncationSpec,
                     apply_lower, apply_momentum, apply_raise)
 from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
@@ -19,16 +18,14 @@ from .transport import (HierarchyBlocks, HierarchyFactors, StationaryDensity,
 from .expansion import (EquilibriumChain, ExpansionTable, build_chain,
                         diffusion_coefficients, partial_sum_D, partial_sum_U,
                         series_radius_estimate, velocity_coefficient)
-from .overdamped import (OverdampedResult, check_overdamped_asymptotics,
-                         lifson_jackson_diffusion, solve_overdamped,
+from .overdamped import (OverdampedResult, lifson_jackson_diffusion, solve_overdamped,
                          stratonovich_drift)
 from .montecarlo import McConfig, McEstimate, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "PeriodicPotential", "ReferenceScales",
-    "effective_potential", "reference_scales",
+    "ModelParams", "PeriodicPotential", "ReferenceScales", "reference_scales",
     "FourierVector", "HermiteFourierField", "TruncationSpec",
     "apply_lower", "apply_momentum", "apply_raise",
     "HierarchyBlocks", "HierarchyFactors", "StationaryDensity", "TransportResult",
@@ -37,7 +34,7 @@ __all__ = [
     "EquilibriumChain", "ExpansionTable", "build_chain",
     "diffusion_coefficients", "partial_sum_D", "partial_sum_U",
     "series_radius_estimate", "velocity_coefficient",
-    "OverdampedResult", "check_overdamped_asymptotics",
-    "lifson_jackson_diffusion", "solve_overdamped", "stratonovich_drift",
+    "OverdampedResult", "lifson_jackson_diffusion", "solve_overdamped",
+    "stratonovich_drift",
     "McConfig", "McEstimate", "simulate",
 ]

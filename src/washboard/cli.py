@@ -31,7 +31,9 @@ An adaptive sweep (``transport``, ``expand``, ``einstein-check``) climbs the
 half-octave Hermite ladder N = n0, 3 n0/2, 2 n0, 3 n0, .. and carries the
 truncation from point to point: each solve starts at the N the previous one
 converged at (``solve_transport``'s ``start``) and certifies the smaller
-rungs from its converged solution instead of solving them.  A point's
+rungs from its converged solution instead of solving them; a first point
+starts at the rung predicted from its n0 solve, certified the same way.  A
+point's
 row is the one a solve from the configured N gives, so it does not depend on
 the points before it.
 """
@@ -341,12 +343,13 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     need about the same truncation and the adaptive engines' point functions
     carry their converged truncation to the next point (``_Continuation``).
     The helpers are forked before this process solves anything, so every
-    chunk climbs the ladder from n0 at its own first point.  Each chunk
-    after the first costs one more climb of CPU time (0.19 s at
-    gamma = 0.01 for fig1's climb from N = 256 to 1536, against 0.07 s for a
-    continued point at N = 1536, on a 2-core Xeon).  That is cheaper in wall
-    time than solving one first point before the fork, which leaves the
-    other CPUs idle for a whole climb: it saves about one point per sweep.
+    chunk's first point is a fresh climb: n0, then up from the rung its n0
+    density predicts.  Each chunk after the first costs one more fresh climb
+    of CPU time (0.08 or 0.12 s at gamma = 0.01 in fig1, N = 256 then 1536,
+    or 256, 1024 and 1536, against 0.18 s for the six rungs of the plain
+    ladder and 0.07 s for a continued point at N = 1536, on a 2-core Xeon).
+    That is cheaper in wall time than solving one first point before the
+    fork, which leaves the other CPUs idle for that climb.
     Continued rows are the rows a fresh ladder gives, so the split does not
     change them.  This process solves the first chunk, the smallest, and
     forked helpers the others; each helper sends its rows back pickled

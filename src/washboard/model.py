@@ -21,7 +21,6 @@ __all__ = [
     "PeriodicPotential",
     "ModelParams",
     "ReferenceScales",
-    "effective_potential",
     "reference_scales",
 ]
 
@@ -238,12 +237,6 @@ class ReferenceScales:
     critical_force: float | None
     free_drift: float
     free_diffusion: float
-
-
-def effective_potential(potential: PeriodicPotential, force: float, q):
-    """Tilted potential V(q) - F*q."""
-    q = np.asarray(q, dtype=float)
-    return potential.evaluate(q) - force * q
 
 
 def reference_scales(params: ModelParams) -> ReferenceScales:

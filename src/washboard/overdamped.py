@@ -30,17 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import ModelParams, PeriodicPotential
-from .basis import (TruncationSpec, fourier_table, packed_dq_matrix, packed_metric,
-                    packed_mult_matrix)
-from .transport import solve_transport
+from .model import PeriodicPotential
+from .basis import fourier_table, packed_dq_matrix, packed_metric, packed_mult_matrix
 
 __all__ = [
     "OverdampedResult",
     "solve_overdamped",
     "stratonovich_drift",
     "lifson_jackson_diffusion",
-    "check_overdamped_asymptotics",
 ]
 
 
@@ -155,30 +152,3 @@ def lifson_jackson_diffusion(potential: PeriodicPotential, beta: float,
     zm = float(np.mean(np.exp(-beta * (V - V.min())))) * L
     return L * L / (beta * zp * zm * np.exp(V.max() * beta - V.min() * beta))
 
-
-def check_overdamped_asymptotics(potential: PeriodicPotential, beta: float,
-                                 force: float, gammas, trunc: TruncationSpec,
-                                 n_fourier_od: int = 64) -> dict:
-    """Errors e_U(gamma) = |gamma U(gamma) - U_O| and e_D likewise, with the
-    consecutive-gamma ratios (an O(gamma^-2) remainder halves them to ~1/4
-    when gamma doubles)."""
-    od = solve_overdamped(potential, beta, force, n_fourier_od)
-    gammas = sorted(float(g) for g in gammas)
-    e_u, e_d, results = [], [], []
-    for g in gammas:
-        params = ModelParams(gamma=g, beta=beta, force=force, potential=potential)
-        res = solve_transport(params, trunc, adaptive=True)
-        results.append(res)
-        e_u.append(abs(g * res.drift - od.drift))
-        e_d.append(abs(g * res.d_primary - od.diffusion))
-    ratios_u = [e_u[i + 1] / e_u[i] if e_u[i] > 0 else np.nan for i in range(len(e_u) - 1)]
-    ratios_d = [e_d[i + 1] / e_d[i] if e_d[i] > 0 else np.nan for i in range(len(e_d) - 1)]
-    return {
-        "gammas": gammas,
-        "overdamped": od,
-        "transport": results,
-        "e_drift": e_u,
-        "e_diffusion": e_d,
-        "ratios_drift": ratios_u,
-        "ratios_diffusion": ratios_d,
-    }

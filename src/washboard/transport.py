@@ -254,17 +254,24 @@ def _density_residual(levels: np.ndarray, blocks: HierarchyBlocks) -> float:
     """Largest residual of the density hierarchy rows n = 1..N as solved.
 
     Nothing lies above level N; every row has the diagonal shift d_q R_n of
-    the displaced basis.
+    the displaced basis.  The terms are summed in place, in the order
+    sqrt(n) lift R_{n-1} + gamma sqrt(beta) n R_n + sqrt(n+1) d_q R_{n+1}
+    + shift d_q R_n, so that no more than two level stacks are held besides
+    ``levels`` (at N = 1536 the factors' 30 MB are held alongside).
     """
     N = levels.shape[0] - 1
     n = np.arange(1, N + 1)[:, None]
-    up = levels @ blocks.lift.T                  # lift R_n
-    above = np.zeros_like(levels[1:])            # d_q R_{n+1}, closed at the top
-    above[:-1] = levels[2:] @ blocks.d_q.T
-    res = (np.sqrt(n) * up[:-1] + blocks.friction * n * levels[1:]
-           + np.sqrt(n + 1) * above)
+    res = (levels @ blocks.lift.T)[:-1]          # lift R_{n-1}
+    res *= np.sqrt(n)
+    res += blocks.friction * n * levels[1:]
+    above = levels[2:] @ blocks.d_q.T            # d_q R_{n+1}, none above N
+    above *= np.sqrt(n[:-1] + 1)
+    res[:-1] += above
+    del above
     if blocks.shift:
-        res += blocks.shift * (levels[1:] @ blocks.d_q.T)
+        shifted = levels[1:] @ blocks.d_q.T
+        shifted *= blocks.shift
+        res += shifted
     return float(np.abs(res).max())
 
 
@@ -460,9 +467,12 @@ class TransportResult:
     - ``adaptive_cap_hit``, True when no rung of an adaptive ladder
       converged (absent otherwise);
     - the ladder: ``ladder_start`` (the rung the returned answer's climb
-      began at), ``rungs_solved`` (truncations solved in the call),
-      ``rungs_tried`` (their N, in the order solved) and ``rungs_certified``
-      (rungs below the answer skipped as certified failures).
+      began at: n0 on the plain ladder, else the ``start`` given or, on a
+      fresh climb, the predicted one), ``rungs_solved`` (truncations solved
+      in the call), ``rungs_tried`` (their N, in the order solved; a fresh
+      climb solves n0 first) and ``rungs_certified`` (rungs below the
+      climb's start skipped unsolved as certified failures; the n0 rung a
+      fresh climb solved is not among them).
     """
 
     drift: float
@@ -764,8 +774,13 @@ def compute_diffusion(density: StationaryDensity, phi: HermiteFourierField
 
 # Adaptive truncation: climb the half-octave rungs of _ladder until both
 # top-level ratios are at most _ADAPT_TOL, but never past _N_HERMITE_MAX
-# levels.  A rung skipped by sweep continuation counts as failed when every
-# level of the converged solution up to it exceeds _CERT_FACTOR * _ADAPT_TOL.
+# levels.  A rung skipped by sweep continuation or a predicted start counts
+# as failed when every level of the converged solution up to it exceeds
+# _CERT_FACTOR * _ADAPT_TOL.  No factor certifies more without solving: on
+# fig1's gamma=0.1 sweep the N=256 envelope at level 192 reads 1.04e-8 at
+# F/F_c = 0.291, where rung 192 converges (its density's top ratio is
+# 7.04e-9), and 8.33e-9 at 1.627, where it fails (1.48e-8), so continuation
+# solves rung 192 below a 256 answer at most of that sweep's points.
 _ADAPT_TOL = 1e-8
 _CERT_FACTOR = 2.0
 _N_HERMITE_MAX = 8192
@@ -788,10 +803,11 @@ def _ladder(n0: int) -> list[int]:
 
 @dataclass(frozen=True)
 class _Rung:
-    """One solved truncation of :func:`solve_transport`'s ladder."""
+    """One solved truncation of :func:`solve_transport`'s ladder; ``phi`` is
+    None when the cell problem was not solved."""
 
     density: StationaryDensity
-    phi: HermiteFourierField
+    phi: HermiteFourierField | None
     cell_diag: dict
 
     @cached_property
@@ -809,8 +825,40 @@ class _Rung:
 
     @property
     def converged(self) -> bool:
-        return (self.density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
+        return (self.phi is not None
+                and self.density.diagnostics["top_level_ratio"] <= _ADAPT_TOL
                 and _level_ratios(self.phi.coeffs)[-1] <= _ADAPT_TOL)
+
+
+def _predicted_start(density: StationaryDensity, rungs: list[int]) -> int | None:
+    """The rung a fresh climb starts at when the density at n0 = ``rungs[0]``
+    misses the tolerance, or None for no prediction.
+
+    log10 of the density's level envelope is fitted by a line in sqrt(n)
+    over levels n0/4..3n0/4 (the top levels bend towards the truncation) and
+    extrapolated to ``_ADAPT_TOL``, at most to 8 n0, the highest start
+    ``tests/test_transport.py`` checks the certificate from.  On fig1's
+    gamma = 0.01 and 0.1 sweeps the extrapolation is 0.61 to 1.21 times the
+    rung the ladder converges at (median 0.89), so rounding it to the nearest
+    rung lands on the answer or below it, and rarely one rung above, which
+    costs a solve of a rung larger than the answer.  A non-decaying envelope
+    predicts nothing.
+    """
+    n0 = rungs[0]
+    n = np.arange(n0 // 4, 3 * n0 // 4 + 1)
+    if n.size < 3:
+        return None
+    x = np.sqrt(n)
+    y = np.log10(np.maximum(_level_ratios(density.field.coeffs)[n], 1e-300))
+    # the least-squares line through the means, in closed form: np.polyfit's
+    # first call maps LAPACK's least-squares code, 1.2 MB of resident memory
+    dx = x - x.mean()
+    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    if not slope < 0:
+        return None
+    root = x.mean() + (np.log10(_ADAPT_TOL) - y.mean()) / slope
+    guess = min(max(root, 0.0) ** 2, 8.0 * n0)
+    return min(rungs, key=lambda r: abs(r - guess))
 
 
 def solve_transport(params: ModelParams, trunc: TruncationSpec,
@@ -840,34 +888,42 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
     above a running state's decay; a truncation below the bump does not see
     it and converges, so a dip of the envelope below the bar voids the
     certificate.)  Rungs that do not certify are solved for real in
-    ascending order, and the lowest one that converges is the answer.  Every
-    other case climbs the ladder from n0 as without ``start``: a ``start``
-    off the ladder or at most n0, a SolverError, or the cap reached
-    unconverged.
+    ascending order, and the lowest one that converges is the answer.
+
+    Without ``start`` (a fresh climb) the n0 rung is solved first, and is the
+    answer when it converges.  When its density misses the tolerance, the
+    climb goes on from the rung :func:`_predicted_start` extrapolates that
+    density's level envelope to, as from a ``start``, with n0 counted as
+    failed: most fig1 points at gamma = 0.01 solve 256 and 1536, or 256,
+    1024 and 1536, where the ladder solves six rungs.  Every other case climbs
+    the plain ladder from n0 (above n0 when n0 was solved and failed): a
+    ``start`` off the ladder or at most n0, no prediction above the second
+    rung, a SolverError from the start up, or the cap reached unconverged.
 
     Exactness: the answer is the rung, and so the result bit for bit, that the
-    ladder from n0 gives whenever a rung the certificate marks as failed would
-    really fail when solved.  That is one empirical premise: a truncation at
-    r does not converge when the converged solution's levels 0..r all sit
+    plain ladder from n0 gives whenever a rung the certificate marks as
+    failed would really fail when solved; the predicted start rests on this
+    premise as continuation does.  It is one empirical premise: a truncation
+    at r does not converge when the converged solution's levels 0..r all sit
     more than ``_CERT_FACTOR`` times above the tolerance.
-    ``tests/test_transport.py`` guards it on the fig1 sweeps, and the
-    continuation tests compare continued and fresh rows on fig3's gamma=0.5
-    sweep.  ``diagnostics`` records the ladder (see :class:`TransportResult`).
+    ``tests/test_transport.py`` guards it on the fig1 sweeps from starts up
+    to 8 n0 (the bound on a predicted start), compares fresh rows with the
+    plain ladder's on fig1 and fig3's gamma=0.5 sweep, and continued rows
+    with fresh ones on the latter.  ``diagnostics`` records the ladder (see
+    :class:`TransportResult`).
     """
     n0 = trunc.n_hermite
     rungs = _ladder(n0) if adaptive else [n0]
     tried = []
 
-    def solve(n: int) -> _Rung | None:
-        """The rung at n, or None when its density misses _ADAPT_TOL below the
-        top rung: such a rung is never the answer, so its cell problem is not
-        solved."""
+    def solve(n: int) -> _Rung:
+        """The rung at n.  Below the top rung, a rung whose density misses
+        _ADAPT_TOL is never the answer, so its cell problem is not solved."""
         tried.append(n)
-        cur = trunc.with_n_hermite(n)
-        density = solve_stationary_fp(params, cur)
-        if n != rungs[-1] and density.diagnostics["top_level_ratio"] > _ADAPT_TOL:
-            return None
-        phi, cell_diag = _solve_cell(density)
+        density = solve_stationary_fp(params, trunc.with_n_hermite(n))
+        phi, cell_diag = None, {}
+        if n == rungs[-1] or density.diagnostics["top_level_ratio"] <= _ADAPT_TOL:
+            phi, cell_diag = _solve_cell(density)
         # N+1 inverses (30 MB at N = 1536, M = 24) are not needed past the
         # cell solve; a rung kept through the next rung's solve and through
         # compute_diffusion would otherwise hold them
@@ -886,22 +942,34 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
                 if stop_at_error:
                     return None
                 continue
-            if rung is not None and rung.converged:
+            if rung.converged:
                 return rung
         return None
 
-    answer = None
-    if start in rungs[1:]:
+    answer, lo = None, 0                 # lo: the lowest rungs, solved and failed
+    if adaptive and start is None and len(rungs) > 1:
+        lo = 1
+        try:
+            first = solve(n0)
+        except SolverError:
+            first = None
+        if first is not None and first.converged:
+            answer = first
+        elif first is not None and first.phi is None:
+            start = _predicted_start(first.density, rungs)
+        del first                        # its levels are not needed in the climb
+    ladder_start, certified = n0, 0
+    if answer is None and start in rungs[lo + 1:]:
         i = rungs.index(start)
         answer = first_converged(rungs[i:], stop_at_error=True)
-    if answer is not None:
-        # floor(n) never rises with n, so the certified rungs are the lowest
-        ladder_start = start
-        certified = sum(answer.floor(n) > _CERT_FACTOR * _ADAPT_TOL for n in rungs[:i])
-        answer = first_converged(rungs[certified:i]) or answer
-    else:
-        ladder_start, certified = n0, 0
-        answer = first_converged(rungs[:-1]) or solve(rungs[-1])
+        if answer is not None:
+            # floor(n) never rises with n, so the certified rungs are the lowest
+            ladder_start = start
+            certified = sum(answer.floor(n) > _CERT_FACTOR * _ADAPT_TOL
+                            for n in rungs[lo:i])
+            answer = first_converged(rungs[lo + certified:i]) or answer
+    if answer is None:
+        answer = first_converged(rungs[lo:-1]) or solve(rungs[-1])
 
     result = compute_diffusion(answer.density, answer.phi)
     diagnostics = dict(result.diagnostics)

@@ -9,12 +9,19 @@ tests hold the vectorized library versions to them bit for bit.
 ``GibbsTensorQuadrature`` is a brute (p, q) quadrature against the
 equilibrium density, the independent reference for the Gibbs pairing
 ``washboard.basis.gibbs_inner``.
+
+``effective_potential`` is the tilted potential V(q) - F q, and
+``check_overdamped_asymptotics`` measures how fast the underdamped solve
+approaches the overdamped limit as gamma grows.
 """
 
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from washboard.basis import hermite_table
+from washboard.basis import TruncationSpec, hermite_table
+from washboard.model import ModelParams, PeriodicPotential
+from washboard.overdamped import solve_overdamped
+from washboard.transport import solve_transport
 
 
 def reference_dq_matrix(n_fourier: int, period: float) -> np.ndarray:
@@ -98,3 +105,37 @@ class GibbsTensorQuadrature:
 
     def inner(self, g, h) -> float:
         return self.integrate(self.values(g) * self.values(h))
+
+
+def effective_potential(potential: PeriodicPotential, force: float, q):
+    """Tilted potential V(q) - F*q."""
+    q = np.asarray(q, dtype=float)
+    return potential.evaluate(q) - force * q
+
+
+def check_overdamped_asymptotics(potential: PeriodicPotential, beta: float,
+                                 force: float, gammas, trunc: TruncationSpec,
+                                 n_fourier_od: int = 64) -> dict:
+    """Errors e_U(gamma) = |gamma U(gamma) - U_O| and e_D likewise, with the
+    consecutive-gamma ratios (an O(gamma^-2) remainder halves them to ~1/4
+    when gamma doubles)."""
+    od = solve_overdamped(potential, beta, force, n_fourier_od)
+    gammas = sorted(float(g) for g in gammas)
+    e_u, e_d, results = [], [], []
+    for g in gammas:
+        params = ModelParams(gamma=g, beta=beta, force=force, potential=potential)
+        res = solve_transport(params, trunc, adaptive=True)
+        results.append(res)
+        e_u.append(abs(g * res.drift - od.drift))
+        e_d.append(abs(g * res.d_primary - od.diffusion))
+    ratios_u = [e_u[i + 1] / e_u[i] if e_u[i] > 0 else np.nan for i in range(len(e_u) - 1)]
+    ratios_d = [e_d[i + 1] / e_d[i] if e_d[i] > 0 else np.nan for i in range(len(e_d) - 1)]
+    return {
+        "gammas": gammas,
+        "overdamped": od,
+        "transport": results,
+        "e_drift": e_u,
+        "e_diffusion": e_d,
+        "ratios_drift": ratios_u,
+        "ratios_diffusion": ratios_d,
+    }

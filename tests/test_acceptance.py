@@ -22,11 +22,11 @@ from washboard.expansion import (build_chain, diffusion_coefficients,
                                  partial_sum_D, partial_sum_U,
                                  series_radius_estimate)
 from washboard.montecarlo import McConfig, simulate
-from washboard.overdamped import (check_overdamped_asymptotics,
-                                  lifson_jackson_diffusion, solve_overdamped,
+from washboard.overdamped import (lifson_jackson_diffusion, solve_overdamped,
                                   stratonovich_drift)
 from washboard.transport import solve_stationary_fp, solve_transport
 from washboard.cli import parse_report
+from packed_reference import check_overdamped_asymptotics
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

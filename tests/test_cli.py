@@ -15,7 +15,7 @@ import washboard
 import washboard.blas as blas
 import washboard.cli as cli
 import washboard.transport as transport
-from test_transport import _count_solves
+from test_transport import _count_solves, _no_prediction
 from washboard.cli import FIG_PRESETS, emit_report, main, parse_report
 from washboard.model import PeriodicPotential
 from washboard.overdamped import stratonovich_drift
@@ -540,7 +540,9 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     solve = cli.solve_transport
     monkeypatch.setattr(cli, "solve_transport",
                         lambda params, trunc, adaptive, start: solve(params, trunc, adaptive))
-    ladder = _transport_bytes(tmp_path, config, "ladder.csv")
+    with monkeypatch.context() as m:   # and no predicted start: the full ladder
+        _no_prediction(m)
+        ladder = _transport_bytes(tmp_path, config, "ladder.csv")
 
     assert continued == uncertified == ladder
     assert (n_continued, n_uncertified, len(calls)) == (20, 30, 28)

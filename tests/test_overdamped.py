@@ -3,9 +3,9 @@ import pytest
 
 from washboard.model import PeriodicPotential
 from washboard.basis import TruncationSpec
-from washboard.overdamped import (check_overdamped_asymptotics,
-                                  lifson_jackson_diffusion, solve_overdamped,
+from washboard.overdamped import (lifson_jackson_diffusion, solve_overdamped,
                                   stratonovich_drift)
+from packed_reference import check_overdamped_asymptotics
 
 
 COS151 = PeriodicPotential.cosine(1.0, 1.0)

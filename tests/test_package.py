@@ -105,7 +105,8 @@ def test_traced_ladder_records_one_stationary_span_per_rung():
     # positional argument of solve_stationary_fp, and counts the rungs an
     # adaptive solve discards from that function's spans; so every rung must
     # be solved by one call through the module attribute, trunc passed
-    # positionally.  fig3's gamma=0.5 point at F=2.75 climbs five rungs.
+    # positionally.  fig3's gamma=0.5 point at F=2.75 solves five rungs: n0,
+    # the predicted start 128 and up to the answer 256, then 96 below it.
     spans_py = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     code = "\n".join([
         "import importlib.util, json",
@@ -130,7 +131,7 @@ def test_traced_ladder_records_one_stationary_span_per_rung():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": env_path})
     tried, stationary, discarded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert tried == stationary == [64, 96, 128, 192, 256]
+    assert tried == stationary == [64, 128, 192, 256, 96]
     assert discarded == len(tried) - 1
 
 

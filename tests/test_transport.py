@@ -1,4 +1,5 @@
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -682,11 +683,12 @@ def test_continuation_down_a_sweep_matches_fresh_solves():
 
 
 def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
-    # every fig1 point at gamma=0.01 converges at 1536, five rungs above n0
+    # every fig1 point at gamma=0.01 converges at 1536, five rungs above n0;
+    # the fresh first point starts at the rung its n0 density predicts, 1024
     params, trunc, forces = _fig1_sweep(0.01)
     calls = _count_solves(monkeypatch)
     first = solve_transport(params.with_force(forces[0]), trunc, adaptive=True)
-    assert calls == [256, 384, 512, 768, 1024, 1536]
+    assert calls == [256, 1024, 1536]
     assert first.diagnostics["rungs_tried"] == calls
     p = params.with_force(forces[1])
     del calls[:]
@@ -700,8 +702,9 @@ def test_continuation_up_a_sweep_certifies_rungs(monkeypatch):
 
 def test_failed_densities_skip_the_cell_solve(monkeypatch):
     # a fresh fig1 gamma=0.01 climb: the densities at 256 .. 1024 miss the
-    # tolerance, so only the answer's cell problem is solved, and the row is
-    # the one solving every rung in full gives
+    # tolerance, so only the answer's cell problem is solved (the climb solves
+    # 256, then 1024 as predicted), and the row is the one solving every rung
+    # in full gives
     params, trunc, forces = _fig1_sweep(0.01)
     p = params.with_force(forces[0])
     for n in (256, 384, 512, 768, 1024):
@@ -720,9 +723,80 @@ def test_failed_densities_skip_the_cell_solve(monkeypatch):
     monkeypatch.setattr(transport, "_solve_cell", counted)
     res = solve_transport(p, trunc, adaptive=True)
     assert cells == [1536]
-    assert res.diagnostics["rungs_tried"] == [256, 384, 512, 768, 1024, 1536]
-    assert res.diagnostics["rungs_solved"] == 6
+    assert res.diagnostics["rungs_tried"] == [256, 1024, 1536]
+    assert res.diagnostics["rungs_solved"] == 3
     _same_result(res, full)
+
+
+def _no_prediction(monkeypatch):
+    """Turn the fresh climb's predicted start off: it climbs the plain ladder."""
+    monkeypatch.setattr(transport, "_predicted_start", lambda density, rungs: None)
+
+
+@pytest.mark.parametrize("sweep", ["fig1 gamma=0.01", "fig1 gamma=0.1", "fig1 gamma=1",
+                                   "fig3 gamma=0.5"])
+def test_predicted_start_returns_the_plain_ladder_answer(monkeypatch, sweep):
+    # A fresh climb starts at the rung its n0 density predicts and certifies
+    # the rungs it skips, as continuation does.  At every point of these
+    # sweeps the row is the plain ladder's, bit for bit: fig1 covers the
+    # starts above the answer's 1536 and 192 .. 256, and fig3's gamma=0.5,
+    # where N falls 384 -> 64, the overshoots certified down.
+    figure, gamma = sweep.split(" gamma=")
+    params, trunc, forces = (_fig3_sweep() if figure == "fig3"
+                             else _fig1_sweep(float(gamma)))
+    n0, predicted = trunc.n_hermite, 0
+    for F in forces:
+        p = params.with_force(F)
+        res = solve_transport(p, trunc, adaptive=True)
+        with monkeypatch.context() as m:
+            _no_prediction(m)
+            ladder = solve_transport(p, trunc, adaptive=True)
+        _same_result(res, ladder)
+        assert ladder.diagnostics["ladder_start"] == n0
+        predicted += res.diagnostics["ladder_start"] != n0
+    assert predicted >= (0 if gamma == "1" else 4)
+
+
+def test_a_point_converging_at_n0_solves_n0_alone(monkeypatch):
+    # fig1 at gamma=1 converges at n0 = 64 everywhere, as most tilt-series
+    # points do: the fresh climb costs the one rung the plain ladder solves
+    params, trunc, forces = _fig1_sweep(1.0)
+    calls = _count_solves(monkeypatch)
+    for F in forces:
+        del calls[:]
+        res = solve_transport(params.with_force(F), trunc, adaptive=True)
+        assert calls == res.diagnostics["rungs_tried"] == [64]
+        assert res.n_hermite == 64 and res.diagnostics["ladder_start"] == 64
+
+
+def _density_with_levels(ratios):
+    """A stand-in density whose level n has largest coefficient ratios[n]."""
+    coeffs = np.zeros((len(ratios), 3))
+    coeffs[:, 1] = ratios
+    return types.SimpleNamespace(field=types.SimpleNamespace(coeffs=coeffs))
+
+
+def test_predicted_start_extrapolates_the_envelope_in_sqrt_n():
+    rungs = transport._ladder(64)
+    n = np.arange(65)
+    # log10 envelope = -8 sqrt(n) / sqrt(150): the tolerance is reached at
+    # n = 150, nearest to the rung 128
+    decay = 10.0 ** (-8.0 * np.sqrt(n / 150.0))
+    assert transport._predicted_start(_density_with_levels(decay), rungs) == 128
+    # at n = 4000 it would be 4096 or 6144; the start is bounded at 8 n0
+    slow = 10.0 ** (-8.0 * np.sqrt(n / 4000.0))
+    assert transport._predicted_start(_density_with_levels(slow), rungs) == 512
+    # levels already below the tolerance over the fit (the top missed it for
+    # a bump above them) extrapolate back past n = 0: the start is n0 itself
+    low = 10.0 ** (-10.0 - np.sqrt(n) / 10.0)
+    low[0] = 1.0
+    assert transport._predicted_start(_density_with_levels(low), rungs) == 64
+    # an envelope that does not decay predicts nothing
+    rising = 10.0 ** (-8.0 + np.sqrt(n / 8.0))
+    assert transport._predicted_start(_density_with_levels(rising), rungs) is None
+    # nor do fewer than three fitted levels (n0 = 2 fits levels 0 and 1)
+    assert transport._predicted_start(_density_with_levels(decay[:3]),
+                                      transport._ladder(2)) is None
 
 
 @pytest.mark.parametrize("start", [100, 80, 64, 32, 0])
