@@ -19,7 +19,7 @@ metric W = diag(1, 2, .., 2).
 This module is the one owner of the packed layout; every other module builds
 and reads packed vectors only through its helpers:
 
-    pack_complex, unpack_complex   packed <-> complex coefficients c_0..c_M
+    pack_complex                   packed coefficients from complex c_0..c_M
     packed_metric                  the diagonal of W
     packed_dq_matrix               d/dq
     packed_mult_matrix             multiplication by a real function
@@ -39,18 +39,15 @@ from .model import ModelParams, PeriodicPotential
 
 __all__ = [
     "TruncationSpec",
-    "FourierVector",
     "HermiteFourierField",
     "hermite_table",
     "apply_raise",
     "apply_lower",
     "apply_momentum",
-    "apply_q_derivative",
     "packed_dq_matrix",
     "packed_mult_matrix",
     "packed_metric",
     "pack_complex",
-    "unpack_complex",
     "fourier_table",
     "gibbs_gram",
     "gibbs_inner",
@@ -124,13 +121,6 @@ def pack_complex(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate([c[:1].real, c[1:].real, c[1:].imag])
 
 
-def unpack_complex(values: np.ndarray) -> np.ndarray:
-    """Complex coefficients c_0..c_M of packed real values (leading axis)."""
-    v = np.asarray(values, dtype=float)
-    M = (v.shape[0] - 1) // 2
-    return np.concatenate([v[:1] + 0j, v[1 : M + 1] + 1j * v[M + 1 :]])
-
-
 def packed_metric(n_fourier: int) -> np.ndarray:
     """Diagonal of W = diag(1, 2, .., 2): (1/L) int f g dq = f . W g."""
     w = np.full(2 * n_fourier + 1, 2.0)
@@ -148,45 +138,6 @@ def fourier_table(n_fourier: int, period: float, q: np.ndarray) -> np.ndarray:
         T[k] = 2.0 * np.cos(k * w1 * q)
         T[M + k] = -2.0 * np.sin(k * w1 * q)
     return T
-
-
-@dataclass(frozen=True)
-class FourierVector:
-    """Real periodic function in packed coefficient form."""
-
-    values: np.ndarray
-    period: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size % 2 != 1:
-            raise ValueError("packed vector must be 1-d with odd length 2M+1")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zeros(cls, n_fourier: int, period: float) -> "FourierVector":
-        return cls(np.zeros(2 * n_fourier + 1), period)
-
-    @property
-    def n_fourier(self) -> int:
-        return (self.values.size - 1) // 2
-
-    def evaluate(self, q):
-        """Reconstruct the function at positions q."""
-        q = np.asarray(q, dtype=float)
-        vals = self.values @ fourier_table(self.n_fourier, self.period, q.ravel())
-        return vals.reshape(q.shape)
-
-    def derivative(self) -> "FourierVector":
-        return apply_q_derivative(self)
-
-
-def apply_q_derivative(vec: FourierVector) -> FourierVector:
-    """d/dq in packed form: (xi_k, eta_k) -> (-w_k eta_k, +w_k xi_k)."""
-    return FourierVector(packed_dq_matrix(vec.n_fourier, vec.period) @ vec.values,
-                         vec.period)
 
 
 def packed_dq_matrix(n_fourier: int, period: float) -> np.ndarray:
@@ -275,21 +226,8 @@ class HermiteFourierField:
     def n_fourier(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
 
-    def level(self, n: int) -> FourierVector:
-        return FourierVector(self.coeffs[n], self.period)
-
     def with_coeffs(self, coeffs: np.ndarray) -> "HermiteFourierField":
         return HermiteFourierField(coeffs, self.period, self.beta, self.p0)
-
-    def evaluate(self, q, p):
-        """Point values g(q, p); q and p broadcast together."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        q, p = np.broadcast_arrays(q, p)
-        H = hermite_table(self.n_hermite, (p.ravel() - self.p0) * np.sqrt(self.beta))
-        levels = self.coeffs @ fourier_table(self.n_fourier, self.period, q.ravel())
-        vals = np.einsum("xn,nx->x", H, levels)
-        return vals.reshape(q.shape) if q.ndim else float(vals[0])
 
     def plus(self, other: "HermiteFourierField") -> "HermiteFourierField":
         if other.p0 != self.p0:

@@ -41,6 +41,7 @@ the points before it.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -245,36 +246,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_report(rows: list[dict], path: str, columns: list[str] | None = None) -> None:
-    """Write rows as CSV with a full header; deterministic formatting."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in columns))
+def emit_report(rows: list[dict], path: str, columns: list[str]) -> None:
+    """Write rows as CSV with a full header; deterministic formatting.  A field
+    holding a comma or a quote (an error message) is quoted."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row.get(col, "")) for col in columns] for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_report(path: str) -> list[dict]:
-    """Read back a CSV written by emit_report (floats where possible).
-
-    Fields are not quoted, so an error message holding commas spills into the
-    fields after it; those tokens are joined back into ``error``.
-    """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    err = header.index("error") if "error" in header else None
+    """Read back a CSV written by emit_report (floats where possible)."""
+    with open(path, newline="") as fh:
+        header, *records = [rec for rec in csv.reader(fh) if rec]
     rows = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        extra = len(toks) - len(header)
-        if extra > 0 and err is not None:
-            toks[err : err + extra + 1] = [",".join(toks[err : err + extra + 1])]
+    for toks in records:
         row = {}
         for key, tok in zip(header, toks):
             if tok == "":

@@ -57,7 +57,6 @@ __all__ = [
     "assemble_generator",
     "EquilibriumPoissonSolver",
     "build_chain",
-    "velocity_coefficient",
     "diffusion_coefficients",
     "partial_sum_U",
     "partial_sum_D",
@@ -293,22 +292,6 @@ def build_chain(params: ModelParams, trunc: TruncationSpec, order: int
     )
 
 
-def velocity_coefficient(chain: EquilibriumChain, j: int) -> float:
-    """V_j, with the two defining integrals cross-checked against each other."""
-    if not 1 <= j <= chain.order:
-        raise ValueError(f"j must be in 1..{chain.order}")
-    vf = chain.v[j]
-    vscale = float(np.abs(chain.v[1:]).max())
-    if j - 1 < len(chain.phis):
-        vp = chain.v_phi_form[j]
-        if abs(vf - vp) > 1e-6 * max(abs(vf), abs(vp), 1e-6 * vscale):
-            raise SolverError(
-                f"V_{j} forms disagree: f-form {vf:.9e} vs phi-form {vp:.9e} "
-                "(chain not converged)"
-            )
-    return vf
-
-
 # ---------------------------------------------------------------------------
 # Diffusion-series tables
 # ---------------------------------------------------------------------------
@@ -331,19 +314,6 @@ class ExpansionTable:
 
     def xi_column_sum(self, ell: int) -> float:
         return float(self.xi[:, ell - 1].sum())
-
-    def rows(self) -> list[dict]:
-        out = []
-        for ell in range(self.order):
-            out.append({
-                "ell": ell,
-                "V_ell": self.v[ell] if ell >= 1 else 0.0,
-                "D_ell_full": self.d_series_full[ell],
-                "D_ell_naive": self.d_series_naive[ell],
-                "sum_Sigma": self.sigma_column_sum(ell) if ell >= 1 else 0.0,
-                "sum_Xi": self.xi_column_sum(ell) if ell >= 1 else 0.0,
-            })
-        return out
 
 
 def diffusion_coefficients(chain: EquilibriumChain) -> ExpansionTable:

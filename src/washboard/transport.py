@@ -333,8 +333,9 @@ def solve_stationary_fp(params: ModelParams, trunc: TruncationSpec) -> Stationar
 # Cell problem
 # ---------------------------------------------------------------------------
 
-def solve_cell_problem(density: StationaryDensity) -> HermiteFourierField:
-    """Solve -L phi = p - U with the centering  int phi rho dp dq = 0.
+def solve_cell_problem(density: StationaryDensity) -> tuple[HermiteFourierField, float]:
+    """Solve -L phi = p - U with the centering  int phi rho dp dq = 0, and
+    return phi with the solve's solvability defect.
 
     The problem, its truncation and the factors are those ``density`` was
     solved with, and the coefficients are in its basis, centred at
@@ -343,11 +344,6 @@ def solve_cell_problem(density: StationaryDensity) -> HermiteFourierField:
     and the discretized centering condition
     sum_n (2 R_n.Phi_n - [R_n.Phi_n]_1) = 0  then fixes Phi_0^0.
     """
-    phi, _ = _solve_cell(density)
-    return phi
-
-
-def _solve_cell(density: StationaryDensity) -> tuple[HermiteFourierField, dict]:
     params = density.params
     factors = density.factors
     blocks = factors.blocks
@@ -366,7 +362,7 @@ def _solve_cell(density: StationaryDensity) -> tuple[HermiteFourierField, dict]:
     # centering: the null vector e0 pairs with R_0^0 alone
     levels[0, 0] -= np.einsum("ns,ns->", R * blocks.metric, levels) / R[0, 0]
     return (HermiteFourierField(levels, params.potential.period, params.beta, blocks.p0),
-            {"solvability_defect": defect})
+            defect)
 
 
 @one_thread()
@@ -572,15 +568,10 @@ def _monic_recurrence(z: np.ndarray, b: list[float], a: list[float] | None = Non
 @lru_cache(maxsize=32)
 def _gauss_maxwell_rule(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the n_p-point Gauss rule for the unit
-    Maxwellian (the roots of He_{n_p}, ascending, and weights summing to 1),
-    computed once per node count (sweeps repeat it).  Below 24 points (from
-    truncations with n_hermite <= 6) numpy's ``hermegauss`` (Golub-Welsch)
-    gives the rule, from 24 on :func:`_hermite_rule`."""
-    if n_p < 24:
-        from numpy.polynomial.hermite_e import hermegauss
-        x, w = hermegauss(n_p)
-    else:
-        x, w = _hermite_rule(n_p)
+    Maxwellian (the roots of He_{n_p}, ascending, and weights summing to 1)
+    from :func:`_hermite_rule` (even n_p >= 24), computed once per node count
+    (sweeps repeat it)."""
+    x, w = _hermite_rule(n_p)
     w = w / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
@@ -651,7 +642,9 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     is tabulated once, on the widest cutoff, and each narrower one sums a
     subset of its rows.
     The rule runs in x = sqrt(beta) (p - p0), the variable of the fields'
-    basis, so mu = sqrt(beta) max(|U - p0|, |F/gamma - p0|).
+    basis centred at p0 = F/gamma, so mu = sqrt(beta) |U - p0|.  It has
+    max(2 n_eff + 8, 24) nodes, exact to degree 47 at least, past the degree
+    3 (n_eff - 1) <= 18 of the smallest truncations (n_eff <= 7).
     """
     params = density.params
     beta, gamma = params.beta, params.gamma
@@ -664,13 +657,13 @@ def _gradient_squared_quadrature(density: StationaryDensity,
     n_eff = min(max(_trim_levels(dphi), _trim_levels(R), 8), R.shape[0])
     dphi = dphi[:n_eff]
     Rt = R[:n_eff]
-    x, wp = _gauss_maxwell_rule(2 * n_eff + 8)
+    x, wp = _gauss_maxwell_rule(max(2 * n_eff + 8, 24))
     ftab = _ibp_fourier_table(phi.n_fourier, L)
     n_q = ftab.shape[1]
     wq = np.full(n_q, L / n_q)
 
     p0 = density.field.p0
-    mu = np.sqrt(beta) * max(abs(density.drift - p0), abs(params.force / gamma - p0))
+    mu = np.sqrt(beta) * abs(density.drift - p0)
     widest = np.abs(x) <= mu + _IBP_CUTOFFS[-1]
     x, wp = x[widest], wp[widest]
     H = hermite_table(n_eff - 1, x)
@@ -803,12 +796,12 @@ def _ladder(n0: int) -> list[int]:
 
 @dataclass(frozen=True)
 class _Rung:
-    """One solved truncation of :func:`solve_transport`'s ladder; ``phi`` is
-    None when the cell problem was not solved."""
+    """One solved truncation of :func:`solve_transport`'s ladder; ``phi`` and
+    its solvability ``defect`` are None when the cell problem was not solved."""
 
     density: StationaryDensity
     phi: HermiteFourierField | None
-    cell_diag: dict
+    defect: float | None
 
     @cached_property
     def _envelopes(self) -> np.ndarray:
@@ -841,7 +834,10 @@ def _predicted_start(density: StationaryDensity, rungs: list[int]) -> int | None
     gamma = 0.01 and 0.1 sweeps the extrapolation is 0.61 to 1.21 times the
     rung the ladder converges at (median 0.89), so rounding it to the nearest
     rung lands on the answer or below it, and rarely one rung above, which
-    costs a solve of a rung larger than the answer.  A non-decaying envelope
+    costs a solve of a rung larger than the answer.  Elsewhere it
+    under-predicts: 0.37 to 0.70 of the answer on the tilt-series sweeps at
+    gamma = 1, and 0.44 to 0.47 on fig3's gamma = 0.5 sweep at F = 1.0 and
+    1.25; that costs rungs climbed, not bits.  A non-decaying envelope
     predicts nothing.
     """
     n0 = rungs[0]
@@ -921,14 +917,14 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
         _ADAPT_TOL is never the answer, so its cell problem is not solved."""
         tried.append(n)
         density = solve_stationary_fp(params, trunc.with_n_hermite(n))
-        phi, cell_diag = None, {}
+        phi, defect = None, None
         if n == rungs[-1] or density.diagnostics["top_level_ratio"] <= _ADAPT_TOL:
-            phi, cell_diag = _solve_cell(density)
+            phi, defect = solve_cell_problem(density)
         # N+1 inverses (30 MB at N = 1536, M = 24) are not needed past the
         # cell solve; a rung kept through the next rung's solve and through
         # compute_diffusion would otherwise hold them
         density = replace(density, factors=replace(density.factors, inverses=None))
-        return _Rung(density, phi, cell_diag)
+        return _Rung(density, phi, defect)
 
     def first_converged(ns: list[int], stop_at_error: bool = False) -> _Rung | None:
         """The first rung of ``ns`` that converges; None when none does, or
@@ -973,7 +969,7 @@ def solve_transport(params: ModelParams, trunc: TruncationSpec,
 
     result = compute_diffusion(answer.density, answer.phi)
     diagnostics = dict(result.diagnostics)
-    diagnostics.update(answer.cell_diag)
+    diagnostics["solvability_defect"] = answer.defect
     if adaptive and not answer.converged:
         diagnostics["adaptive_cap_hit"] = True
     diagnostics.update(ladder_start=ladder_start, rungs_solved=len(tried),

@@ -8,7 +8,9 @@ tests hold the vectorized library versions to them bit for bit.
 
 ``GibbsTensorQuadrature`` is a brute (p, q) quadrature against the
 equilibrium density, the independent reference for the Gibbs pairing
-``washboard.basis.gibbs_inner``.
+``washboard.basis.gibbs_inner``.  ``evaluate_field`` gives the point values
+of a ``HermiteFourierField`` in its own basis, the reference evaluation of
+solved fields.
 
 ``effective_potential`` is the tilted potential V(q) - F q, and
 ``check_overdamped_asymptotics`` measures how fast the underdamped solve
@@ -18,7 +20,7 @@ approaches the overdamped limit as gamma grows.
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from washboard.basis import TruncationSpec, hermite_table
+from washboard.basis import TruncationSpec, fourier_table, hermite_table
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.overdamped import solve_overdamped
 from washboard.transport import solve_transport
@@ -65,6 +67,16 @@ def reference_mult_matrix(coeffs: np.ndarray, n_fourier: int, period: float) -> 
     A = (P @ C @ U)
     assert np.abs(A.imag).max() < 1e-12 * max(np.abs(A.real).max(), 1.0)
     return A.real
+
+
+def evaluate_field(field, q, p):
+    """Point values g(q, p) of a field in its basis centred at ``field.p0``;
+    q and p broadcast together."""
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    H = hermite_table(field.n_hermite, (p.ravel() - field.p0) * np.sqrt(field.beta))
+    levels = field.coeffs @ fourier_table(field.n_fourier, field.period, q.ravel())
+    vals = np.einsum("xn,nx->x", H, levels)
+    return vals.reshape(q.shape) if q.ndim else float(vals[0])
 
 
 class GibbsTensorQuadrature:

@@ -1,3 +1,4 @@
+import csv
 import errno
 import functools
 import inspect
@@ -17,7 +18,8 @@ import washboard.cli as cli
 import washboard.transport as transport
 from test_transport import _count_solves, _no_prediction
 from washboard.cli import FIG_PRESETS, emit_report, main, parse_report
-from washboard.model import PeriodicPotential
+from washboard.basis import TruncationSpec
+from washboard.model import ModelParams, PeriodicPotential
 from washboard.overdamped import stratonovich_drift
 
 
@@ -65,11 +67,51 @@ def test_error_with_commas_roundtrip(tmp_path):
             {"F": 1.5, "U": 2.0, "error": "a,,b,"}]
     path = str(tmp_path / "e.csv")
     emit_report(rows, path, ["F", "U", "error"])
-    # written unquoted, as before
-    assert open(path).read() == f"F,U,error\n0.5,1.25,\n1,,{msg}\n1.5,2,a,,b,\n"
+    # a field holding a comma is quoted, every other field is written as is
+    assert open(path).read() == f'F,U,error\n0.5,1.25,\n1,,"{msg}"\n1.5,2,"a,,b,"\n'
     back = parse_report(path)
     assert [r["error"] for r in back] == ["", msg, "a,,b,"]
     assert [r["F"] for r in back] == [0.5, 1, 1.5]
+
+
+def _cosine_row(tmp_path, n_fourier: int) -> tuple[int, str]:
+    """``washboard transport`` on the cosine (V0=1, L=1, beta=5, gamma=1) at
+    F=0 with ``n_fourier`` harmonics, adaptive from N=64: its exit code and
+    the path of its one-row CSV."""
+    cfg = {"gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
+           "trunc": {"n_hermite": 64, "n_fourier": n_fourier}, "adaptive": True,
+           "sweep": {"variable": "force", "min": 0.0, "max": 0.0, "count": 1}}
+    path, out = tmp_path / f"m{n_fourier}.json", str(tmp_path / f"m{n_fourier}.csv")
+    path.write_text(json.dumps(cfg))
+    return main(["transport", "--config", str(path), "--out", out]), out
+
+
+def test_error_row_with_commas_reads_back_whole(tmp_path):
+    # at M = 3 the solve's D is negative, and the error message names N and M
+    # with a comma between them
+    code, out = _cosine_row(tmp_path, 3)
+    assert code == 2
+    [row] = parse_report(out)
+    assert len(row) == 12
+    assert row["error"].startswith("SolverError: D = ") and ", M = 3: " in row["error"]
+    with open(out, newline="") as fh:
+        [record] = list(csv.DictReader(fh))
+    assert len(record) == 12 and None not in record
+    assert record["error"] == row["error"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: at M = 2 the solve passes every check it "
+                          "makes, and its row is about 1300 times too large with an "
+                          "empty error")
+def test_m_starved_row_is_right_or_flagged(tmp_path):
+    code, out = _cosine_row(tmp_path, 2)
+    [row] = parse_report(out)
+    params = ModelParams(gamma=1.0, beta=5.0, force=0.0,
+                         potential=PeriodicPotential.cosine(1.0, 1.0))
+    want = transport.solve_transport(params, TruncationSpec(64, 48),
+                                     adaptive=True).d_primary
+    assert row["error"] != "" or abs(row["D_primary"] - want) <= 1e-6 * want
 
 
 def test_emit_empty_rows_header_only(tmp_path):

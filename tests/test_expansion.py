@@ -11,8 +11,7 @@ from washboard.basis import (HermiteFourierField, TruncationSpec, apply_lower,
 from washboard.expansion import (EquilibriumPoissonSolver,
                                  assemble_generator, build_chain,
                                  diffusion_coefficients, partial_sum_D,
-                                 partial_sum_U, series_radius_estimate,
-                                 velocity_coefficient)
+                                 partial_sum_U, series_radius_estimate)
 from washboard.transport import SolverError, hierarchy_blocks, solve_transport
 
 from packed_reference import (GibbsTensorQuadrature, reference_dq_matrix,
@@ -310,7 +309,7 @@ def test_chain_free_particle():
     chain = build_chain(_free(gamma=2.0, beta=1.0), TruncationSpec(24, 1), 3)
     # f1 = beta p / gamma -> level-1 coefficient sqrt(beta)/gamma
     assert chain.fs[1].coeffs[1, 0] == pytest.approx(0.5, rel=1e-11)
-    assert velocity_coefficient(chain, 1) == pytest.approx(0.5, rel=1e-11)
+    assert chain.v[1] == pytest.approx(0.5, rel=1e-11)
     # phi_0 = p / gamma
     assert chain.phis[0].coeffs[1, 0] == pytest.approx(0.5, rel=1e-11)
     # higher orders vanish identically for V = 0
@@ -374,10 +373,12 @@ def test_velocity_even_orders_vanish(chain151):
 
 
 def test_velocity_forms_agree(chain151):
+    # V_j = <p, f_j> and its phi-form beta <p, phi_{j-1}> agree to 1e-6
+    v, v_phi = chain151.v, chain151.v_phi_form
+    assert len(v) == len(v_phi) == 10
+    floor = 1e-6 * np.abs(v[1:]).max()
     for j in range(1, 10):
-        velocity_coefficient(chain151, j)   # raises on >1e-6 disagreement
-    with pytest.raises(ValueError):
-        velocity_coefficient(chain151, 10)
+        assert abs(v[j] - v_phi[j]) <= 1e-6 * max(abs(v[j]), abs(v_phi[j]), floor)
 
 
 def test_einstein_identity_vs_transport(chain151):
@@ -493,12 +494,3 @@ def test_series_radius_estimate(chain151):
     expect = abs(v[7] / v[9]) ** 0.5
     assert series_radius_estimate(v) == pytest.approx(expect, rel=1e-12)
     assert series_radius_estimate(np.array([0.0, 1.0])) == np.inf
-
-
-def test_expansion_table_rows(chain151):
-    table = diffusion_coefficients(chain151)
-    rows = table.rows()
-    assert len(rows) == 9
-    assert set(rows[0]) == {"ell", "V_ell", "D_ell_full", "D_ell_naive",
-                            "sum_Sigma", "sum_Xi"}
-    assert rows[0]["D_ell_full"] == pytest.approx(table.v[1] / 5.0)

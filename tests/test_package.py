@@ -22,6 +22,24 @@ def test_every_export_resolves(name):
     assert not missing
 
 
+_EXPORTS = [
+    "EquilibriumChain", "ExpansionTable", "HermiteFourierField", "HierarchyBlocks",
+    "HierarchyFactors", "McConfig", "McEstimate", "ModelParams", "OverdampedResult",
+    "PeriodicPotential", "ReferenceScales", "StationaryDensity", "TransportResult",
+    "TruncationSpec", "apply_lower", "apply_momentum", "apply_raise", "build_chain",
+    "compute_diffusion", "diffusion_coefficients", "factor_hierarchy",
+    "hierarchy_blocks", "lifson_jackson_diffusion", "partial_sum_D", "partial_sum_U",
+    "reference_scales", "series_radius_estimate", "simulate", "solve_cell_problem",
+    "solve_overdamped", "solve_stationary_fp", "solve_transport", "stratonovich_drift",
+]
+
+
+def test_exports_are_pinned():
+    # the library surface changes only on purpose: a name added to or dropped
+    # from washboard.__all__ is added to or dropped from this list
+    assert sorted(washboard.__all__) == _EXPORTS
+
+
 def _loaded_by_import(module: str, run: str = "") -> bool:
     """Whether a fresh ``import washboard, washboard.cli``, followed by the
     statements ``run``, loads ``module``."""
