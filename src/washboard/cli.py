@@ -445,6 +445,9 @@ def cmd_transport(cfg: dict, out: str) -> int:
         return _transport_point(solve, _point_params(params, var, v), scale)
 
     rows = run_sweep(point, values, "F" if var == "force" else "gamma")
+    fixed = ("gamma", params.gamma) if var == "force" else ("F", params.force)
+    for row in rows:            # a failed point's row names the fixed value too
+        row.setdefault(*fixed)
     cols = _TRANSPORT_COLS + (_SCALED_COLS if scale else [])
     emit_report(rows, out, cols)
     return EXIT_NUMERICAL if any(r.get("error") for r in rows) else EXIT_OK

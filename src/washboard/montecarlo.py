@@ -20,17 +20,20 @@ Who draws the noise.  The caller draws the initial conditions, then forks
 one helper process that owns the streams from there on and fills the path
 noise chunk by chunk, while the caller steps through the chunk before.  The
 two chunks live in an anonymous shared ``mmap`` and are handed over through
-a pipe each way; their 2 x ``_CHUNK`` steps take the memory one chunk of
-twice that length used to.  On one thread, a force of the ``mc`` benchmark
-workload (500 trajectories x 5e4 steps, 2-core Xeon) spends 0.31 s on
-Philox fills, 0.04 s on the transposed scaling and 0.42 s on the step
-arithmetic; with the helper only the last blocks.  It is a process and not
-a thread because the step loop's ufuncs on a few hundred trajectories never
-release the GIL: a thread producer made the workload slower (2.39-2.43 s
-against 2.29 s on one thread), the helper faster (1.32 s).  The helper
-fills exactly as the caller would, so results are the same bits with or
-without it; where no helper can be started the caller fills each chunk
-itself.  :mod:`washboard._fork` forks the helper and states the caveats.
+a pipe each way; their 2 x ``_CHUNK`` steps take 4 MB at 500 trajectories.
+On one thread, a force of the ``mc`` benchmark workload (500 trajectories x
+5e4 steps, 2-vCPU Xeon) spends 0.41 s on Philox fills, 0.05 s on the
+transposed scaling and about 0.55 s on the step arithmetic.  With the
+helper the two sides overlap and nearly balance: the workload's three forces
+took 2.04 s, and 1.90 s with no step arithmetic at all (medians of 6), so
+the helper's fill is what bounds a cut on the step side.  It is a process
+and not a thread because the step loop's ufuncs on a few hundred
+trajectories never release the GIL: a thread producer made the workload
+slower (2.39-2.43 s against 2.29 s on one thread), the helper faster
+(1.32 s).  The helper fills exactly as the caller would, so results are the
+same bits with or without it; where no helper can be started the caller
+fills each chunk itself.  :mod:`washboard._fork` forks the helper and states
+the caveats.
 """
 
 from __future__ import annotations
@@ -39,18 +42,19 @@ import math
 import mmap
 import os
 from contextlib import closing, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._fork import forked
-from .model import ModelParams
+from .model import ModelParams, _scalar
 
 __all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate"]
 
 # Steps of noise per chunk; the helper fills one chunk while the step loop
-# reads the other, so the two hold what one chunk of 1024 steps did.  No
-# effect on results.
+# reads the other.  No effect on results.  1024 halves the helper's
+# standard_normal calls, but its transposed scaling then runs slower than
+# the calls save, and the whole ran about 2% slower with 4 MB more of slots.
 _CHUNK = 512
 _BLOCK = 64     # trajectories per block of the noise transpose; no effect either
 
@@ -150,32 +154,55 @@ def _noise_chunks(gens: list[np.random.Generator], n_steps: int, noise_amp: floa
                     os.write(ends[1], b"\0")
 
 
+def _estimate(disp: np.ndarray, horizon: float) -> McEstimate:
+    """(U, D) and their standard errors from the displacements over ``horizon``."""
+    n = len(disp)
+    u_hat = float(disp.mean() / horizon)
+    var = float(disp.var(ddof=1))
+    d_hat = var / (2.0 * horizon)
+    stderr_u = math.sqrt(var / n) / horizon
+    m4 = float(np.mean((disp - disp.mean()) ** 4))
+    var_of_var = max((m4 - var * var * (n - 3) / (n - 1)) / n, 0.0)
+    stderr_d = math.sqrt(var_of_var) / (2.0 * horizon)
+    return McEstimate(u_hat=u_hat, d_hat=d_hat, stderr_u=stderr_u,
+                      stderr_d=stderr_d, n_traj_used=n)
+
+
 def simulate(config: McConfig) -> McEstimate:
     """Run the ensemble and estimate (U, D) from endpoint displacements.
 
     Initial conditions are q ~ uniform[0, L), p ~ N(0, 1/beta), drawn from the
-    per-trajectory streams before any path noise.  A non-finite state aborts
-    with the offending trajectory index (the usual cause is dt too large).
-    ``NoiseHelperError`` means the process filling the noise died; its
-    traceback is on standard error.
+    per-trajectory streams before any path noise.  The loop carries the
+    velocity increment v = p dt, from v_0 = p_0 dt, and steps
+
+        v <- (1 - gamma dt) v - dt^2 V'(q) + F dt^2 + sqrt(2 gamma dt/beta) dt xi,
+        q <- q + v,
+
+    the scheme of the module docstring in exact arithmetic, in fewer
+    operations; its estimates differ from the momentum form's by roundoff.
+    A non-finite state aborts with the offending trajectory index (the usual
+    cause is dt too large).  ``NoiseHelperError`` means the process filling
+    the noise died; its traceback is on standard error.
     """
     params = config.params
     pot = params.potential
     gamma, beta, force = params.gamma, params.beta, params.force
-    L = pot.period
     dt = config.dt
+    dt2 = dt * dt
     noise_amp = math.sqrt(2.0 * gamma / beta * dt)
 
     gens = _streams(config.seed, config.n_traj)
-    q = np.array([g.uniform(0.0, L) for g in gens])
-    p = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens])
+    q = np.array([g.uniform(0.0, pot.period) for g in gens])
+    v = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens]) * dt
 
-    # Scalars go in as 0-d arrays, which ufuncs take faster than Python
-    # floats (same bits).  V' and the ufuncs are looked up once and take
-    # ``out`` positionally, which they also parse faster.
-    force_, gamma_, dt_ = np.array(force), np.array(gamma), np.array(dt)
-    deriv = pot.derivative
-    mul, sub, add = np.multiply, np.subtract, np.add
+    # -dt^2 V' is V' of the potential with its coefficients scaled by -dt^2.
+    # Scalars go in as read-only 0-d arrays, which ufuncs take faster than
+    # Python floats (same bits).  V' and the ufuncs are looked up once and
+    # take ``out`` positionally, which they also parse faster.
+    kick = replace(pot, cos_coeffs=[-dt2 * c for c in pot.cos_coeffs],
+                   sin_coeffs=[-dt2 * s for s in pot.sin_coeffs]).derivative
+    damp_, drift_ = _scalar(1.0 - gamma * dt), _scalar(force * dt2)
+    mul, add = np.multiply, np.add
 
     n = config.n_traj
     q_mark = np.empty(n)
@@ -185,20 +212,17 @@ def simulate(config: McConfig) -> McEstimate:
     def advance(rows):
         """One step of every trajectory per row of noise."""
         for xi in rows:
-            # p += ((-V'(q) + F) - gamma p) dt + amp xi;  q += p dt
-            deriv(q, acc, work)
-            sub(force_, acc, acc)       # F - V' == -V' + F
-            mul(p, gamma_, work)
-            sub(acc, work, acc)
-            mul(acc, dt_, acc)
-            add(acc, xi, acc)
-            add(p, acc, p)
-            mul(p, dt_, work)
-            add(q, work, q)
+            # v = (1 - gamma dt) v + (-dt^2 V'(q) + F dt^2) + amp dt xi;  q += v
+            kick(q, acc, work)
+            add(acc, drift_, acc)
+            mul(v, damp_, v)
+            add(v, acc, v)
+            add(v, xi, v)
+            add(q, v, q)
 
     step = 0
     # A diverging path overflows mid-chunk; the check after the chunk names it.
-    with closing(_noise_chunks(gens, config.n_steps, noise_amp)) as chunks, \
+    with closing(_noise_chunks(gens, config.n_steps, noise_amp * dt)) as chunks, \
             np.errstate(over="ignore", invalid="ignore"):
         for noise in chunks:
             mark = config.n_burnin - step
@@ -214,15 +238,4 @@ def simulate(config: McConfig) -> McEstimate:
                     f"trajectory {bad} diverged (non-finite q); reduce dt"
                 )
 
-    horizon = (config.n_steps - config.n_burnin) * dt
-    disp = q - q_mark
-    u_hat = float(disp.mean() / horizon)
-    var = float(disp.var(ddof=1))
-    d_hat = var / (2.0 * horizon)
-    n = config.n_traj
-    stderr_u = math.sqrt(var / n) / horizon
-    m4 = float(np.mean((disp - disp.mean()) ** 4))
-    var_of_var = max((m4 - var * var * (n - 3) / (n - 1)) / n, 0.0)
-    stderr_d = math.sqrt(var_of_var) / (2.0 * horizon)
-    return McEstimate(u_hat=u_hat, d_hat=d_hat, stderr_u=stderr_u,
-                      stderr_d=stderr_d, n_traj_used=n)
+    return _estimate(q - q_mark, (config.n_steps - config.n_burnin) * dt)

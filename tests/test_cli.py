@@ -74,13 +74,16 @@ def test_error_with_commas_roundtrip(tmp_path):
     assert [r["F"] for r in back] == [0.5, 1, 1.5]
 
 
-def _cosine_row(tmp_path, n_fourier: int) -> tuple[int, str]:
-    """``washboard transport`` on the cosine (V0=1, L=1, beta=5, gamma=1) at
-    F=0 with ``n_fourier`` harmonics, adaptive from N=64: its exit code and
-    the path of its one-row CSV."""
-    cfg = {"gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
+def _cosine_row(tmp_path, n_fourier: int, variable: str = "force",
+                value: float = 0.0, force: float = 0.0) -> tuple[int, str]:
+    """``washboard transport`` on the cosine (V0=1, L=1, beta=5, gamma=1,
+    F=``force``) with ``n_fourier`` harmonics, adaptive from N=64, sweeping
+    ``variable`` over the one point ``value``: its exit code and the path of
+    its one-row CSV."""
+    cfg = {"gamma": 1.0, "beta": 5.0, "force": force,
+           "potential": {"L": 1.0, "cos": [1.0]},
            "trunc": {"n_hermite": 64, "n_fourier": n_fourier}, "adaptive": True,
-           "sweep": {"variable": "force", "min": 0.0, "max": 0.0, "count": 1}}
+           "sweep": {"variable": variable, "min": value, "max": value, "count": 1}}
     path, out = tmp_path / f"m{n_fourier}.json", str(tmp_path / f"m{n_fourier}.csv")
     path.write_text(json.dumps(cfg))
     return main(["transport", "--config", str(path), "--out", out]), out
@@ -98,6 +101,21 @@ def test_error_row_with_commas_reads_back_whole(tmp_path):
         [record] = list(csv.DictReader(fh))
     assert len(record) == 12 and None not in record
     assert record["error"] == row["error"]
+
+
+@pytest.mark.parametrize("variable, value, force, fixed", [
+    ("force", 0.0, 0.0, ("gamma", 1.0)),
+    ("gamma", 1.0, 0.5, ("F", 0.5)),
+], ids=["force-sweep", "gamma-sweep"])
+def test_error_row_keeps_the_fixed_parameter(tmp_path, variable, value, force, fixed):
+    # at M = 3 the point fails; its row still says where, in both columns
+    code, out = _cosine_row(tmp_path, 3, variable, value, force)
+    assert code == 2
+    [row] = parse_report(out)
+    assert row["error"].startswith("SolverError: D = ")
+    swept = "F" if variable == "force" else "gamma"
+    key, fixed_value = fixed
+    assert (row[swept], row[key]) == (value, fixed_value)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -13,6 +13,8 @@ from washboard.basis import TruncationSpec
 from washboard.montecarlo import McConfig, NoiseHelperError, simulate
 from washboard.transport import solve_transport
 
+from mc_reference import simulate_p_form
+
 
 def _free(gamma=1.0, beta=1.0, force=2.0):
     return ModelParams(gamma=gamma, beta=beta, force=force,
@@ -220,45 +222,65 @@ def _sine(force):
                                                    sin_coeffs=(0.6, 0.0, -0.2)))
 
 
-# Exact estimates of the step loop as it summed before the harmonic table and
-# the in-place kernel (n_steps=5000 is not a multiple of the noise chunk).
-# The last two were taken from the loop that tested every step for the
-# burn-in mark and summed V' from zero; burn-in 512 puts the mark on a chunk
-# boundary (_CHUNK = 512).
-_GOLDEN = [
-    (_cos151(1.0), 0,
-     (0.005381204064844809, 0.015708601091201792, 0.006266697912617496,
-      0.011173725497915439, 16)),
-    (_cos151(1.0), 300,
-     (0.0026924897776085107, 0.0017732482067112127, 0.0021716550499899477,
-      0.0013977395604911802, 16)),
-    (_multi(0.6), 0,
-     (0.1010138171592515, 0.21395686706321915, 0.023127735895630764,
-      0.0693842232220525, 16)),
-    (_multi(-0.4), 123,
-     (-0.020179258768436317, 0.09213197935431597, 0.01536681381983051,
-      0.06458117788837009, 16)),
-    (_free(gamma=0.5, force=2.0), 0,
-     (3.8032655511635163, 1.7648638771538456, 0.06642408970309352,
-      0.44831184124028595, 16)),
-    (_free(gamma=0.5, force=2.0), 77,
-     (3.8514979091449555, 1.8312528891463147, 0.0681889887812343,
-      0.47465607203479526, 16)),
-    (_sine(0.4), 0,
-     (0.015536520536617032, 0.04552576764716464, 0.01066838409122542,
-      0.019795280344106853, 16)),
-    (_cos151(1.0), 512,
-     (0.0005584379464107237, 0.0001459147895965946, 0.0006374971374507457,
-      4.475963232723382e-05, 16)),
+# The pinned cases: n_steps=5000 is not a multiple of the noise chunk, and
+# the burn-in mark falls before the first step (0), inside the first chunk
+# (77..300) or on a chunk boundary (512, with _CHUNK = 512).
+# tests/regen_mc_goldens.py prints their estimates.
+GOLDEN_CASES = [
+    (_cos151(1.0), 0), (_cos151(1.0), 300), (_multi(0.6), 0), (_multi(-0.4), 123),
+    (_free(gamma=0.5, force=2.0), 0), (_free(gamma=0.5, force=2.0), 77),
+    (_sine(0.4), 0), (_cos151(1.0), 512),
 ]
+
+
+def golden_config(params, burnin, n_steps=5000):
+    return McConfig(dt=0.01, n_steps=n_steps, n_burnin=burnin, n_traj=16, seed=7,
+                    params=params)
+
+
+# Exact estimates (u_hat, d_hat, stderr_u, stderr_d, n_traj_used) of the
+# velocity-form step loop.  They differ from the momentum form's by
+# roundoff grown over 5000 steps, at most 6.9e-7 relative (the sine case;
+# the others by at most 1.8e-8); test_velocity_form_is_the_momentum_form
+# holds the two forms together at 1000 steps.
+_GOLDEN_VALUES = [
+    (0.005381204064844809, 0.01570860109120179, 0.0062666979126174945,
+     0.011173725497915432, 16),
+    (0.0026924897776085125, 0.0017732482067112153, 0.0021716550499899494,
+     0.001397739560491183, 16),
+    (0.10101381900634981, 0.2139568635854822, 0.023127735707667223,
+     0.06938422243893784, 16),
+    (-0.020179258706588345, 0.09213197960820421, 0.015366813841003685,
+     0.064581177931899, 16),
+    (3.8032655511634936, 1.7648638771538563, 0.06642408970309371,
+     0.4483118412402953, 16),
+    (3.8514979091449315, 1.8312528891463264, 0.06818898878123453,
+     0.47465607203480364, 16),
+    (0.015536531009386585, 0.045525736252127844, 0.010668380412711183,
+     0.019795273407685818, 16),
+    (0.000558437946410724, 0.00014591478959659438, 0.0006374971374507452,
+     4.4759632327233776e-05, 16),
+]
+_GOLDEN = [(params, burnin, expected)
+           for (params, burnin), expected in zip(GOLDEN_CASES, _GOLDEN_VALUES)]
 
 
 @pytest.mark.parametrize("params, burnin, expected", _GOLDEN)
 def test_estimates_bit_pinned(params, burnin, expected):
-    est = simulate(McConfig(dt=0.01, n_steps=5000, n_burnin=burnin, n_traj=16,
-                            seed=7, params=params))
+    est = simulate(golden_config(params, burnin))
     assert (est.u_hat, est.d_hat, est.stderr_u, est.stderr_d,
             est.n_traj_used) == expected
+
+
+@pytest.mark.parametrize("params, burnin", GOLDEN_CASES)
+def test_velocity_form_is_the_momentum_form(params, burnin):
+    # the same scheme as the momentum-form loop it replaced, up to roundoff
+    config = golden_config(params, min(burnin, 500), n_steps=1000)
+    est, ref = simulate(config), simulate_p_form(config)
+    got = (est.u_hat, est.d_hat, est.stderr_u, est.stderr_d)
+    want = (ref.u_hat, ref.d_hat, ref.stderr_u, ref.stderr_d)
+    assert est.n_traj_used == ref.n_traj_used
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("params, burnin, expected", _GOLDEN)

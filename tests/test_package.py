@@ -156,7 +156,7 @@ def test_traced_ladder_records_one_stationary_span_per_rung():
 def test_traced_sweep_writes_the_untraced_csv(tmp_path):
     # the traced benchmark wraps run_sweep and forwards its three arguments
     # positionally; the gamma = 0 point fails, and its row must still carry
-    # its swept value
+    # its swept value and the fixed force
     from washboard.cli import main
     cfg = {"gamma": 1.0, "beta": 5.0, "force": 0.5,
            "potential": {"L": 1.0, "cos": [1.0]},
@@ -181,4 +181,4 @@ def test_traced_sweep_writes_the_untraced_csv(tmp_path):
     assert main(argv("plain.csv")) == 2
     traced = (tmp_path / "traced.csv").read_bytes()
     assert traced == (tmp_path / "plain.csv").read_bytes()
-    assert traced.splitlines()[1].startswith(b"0,,")   # the failed row's gamma
+    assert traced.splitlines()[1].startswith(b"0,0.5,")   # the failed row's gamma, F
