@@ -44,16 +44,14 @@ import argparse
 import csv
 import functools
 import json
-import os
-import pickle
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fork import forked
+from . import _fork
 from .blas import one_thread, single_threaded
 from .model import ModelParams, PeriodicPotential, reference_scales
 from .basis import TruncationSpec
@@ -280,13 +278,6 @@ def parse_report(path: str) -> list[dict]:
     return rows
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _point_row(point_fn, value, column: str) -> dict:
     try:
         row = point_fn(value)
@@ -295,26 +286,6 @@ def _point_row(point_fn, value, column: str) -> dict:
         row = {"error": f"{type(exc).__name__}: {exc}"}
     row.setdefault(column, float(value))
     return row
-
-
-def _send_rows(point_fn, chunk: list, column: str, _, write_fd: int) -> None:
-    """A sweep helper's work: solve ``chunk``, then write its pickled rows."""
-    with open(write_fd, "wb", closefd=False) as fh:
-        pickle.dump([_point_row(point_fn, v, column) for v in chunk], fh)
-
-
-def _helper_rows(read_fd: int, count: int) -> list[dict] | None:
-    """The ``count`` rows a helper wrote, or None if it ended without them."""
-    with open(read_fd, "rb", closefd=False) as fh:
-        payload = fh.read()
-    try:
-        rows = pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):   # died before or while writing
-        return None
-    if isinstance(rows, list) and len(rows) == count \
-            and all(isinstance(r, dict) for r in rows):
-        return rows
-    return None
 
 
 def run_sweep(point_fn, values, column: str) -> list[dict]:
@@ -326,10 +297,12 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
 
     The points are independent, so with three points or more, two CPUs or
     more and every OpenBLAS copy on one thread (as :func:`main` sets it;
-    forked BLAS thread pools lose), they are shared out to processes that
-    :mod:`washboard._fork` forks (see there for the caveats).  The values
-    are cut into one contiguous chunk per CPU, because neighbouring points
-    need about the same truncation and the adaptive engines' point functions
+    forked BLAS thread pools lose), they are shared out by
+    :func:`washboard._fork.fanned_out`, which solves the first chunk here
+    and each other one in a forked helper (see there for what happens when
+    a helper cannot start or dies, and for the caveats).  The values are
+    cut into one contiguous chunk per CPU, because neighbouring points need
+    about the same truncation and the adaptive engines' point functions
     carry their converged truncation to the next point (``_Continuation``).
     The helpers are forked before this process solves anything, so every
     chunk's first point is a fresh climb: n0, then up from the rung its n0
@@ -339,46 +312,36 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     ladder and 0.07 s for a continued point at N = 1536, on a 2-core Xeon).
     That is cheaper in wall time than solving one first point before the
     fork, which leaves the other CPUs idle for that climb.
-    Continued rows are the rows a fresh ladder gives, so the split does not
-    change them.  This process solves the first chunk, the smallest, and
-    forked helpers the others; each helper sends its rows back pickled
-    through a pipe.  A helper that cannot be started,
-    dies or sends no valid rows has its chunk solved here, to the same rows.
-    Helpers are killed and reaped on every way out, also when
-    ``point_fn.alongside`` raises.
+    Continued rows are the rows a fresh ladder gives, so neither the split
+    nor a chunk solved again here changes them.  This process solves the
+    first chunk, the smallest.
 
     ``point_fn.alongside``, when the point function has it, is a callable
     this process calls once with no arguments: after forking the helpers
     and before its own first point, or, serially, before the first point.
     It is work the rows do not wait on but the caller needs after the sweep
     (``cmd_expand``'s tilt-series chain), run on the CPU the helpers leave
-    this process; what it raises, ``run_sweep`` raises.  It is an attribute
-    and not a parameter because wrappers of ``run_sweep`` forward exactly
-    (point_fn, values, column), and one that wraps the point function with
-    ``functools.wraps`` copies the attribute along.
+    this process; what it raises, ``run_sweep`` raises, once the helpers
+    are killed and reaped.  It is an attribute and not a parameter because
+    wrappers of ``run_sweep`` forward exactly (point_fn, values, column),
+    and one that wraps the point function with ``functools.wraps`` copies
+    the attribute along.
     """
     values = list(values)
     alongside = getattr(point_fn, "alongside", None)
-    n = min(_cpu_count(), len(values))
+    n = min(_fork._cpu_count(), len(values))
     if len(values) < 3 or n < 2 or not single_threaded():
-        if alongside is not None:
-            alongside()
-        return [_point_row(point_fn, v, column) for v in values]
-
+        n = 1
     chunks = [values[len(values) * i // n : len(values) * (i + 1) // n]
               for i in range(n)]
-    with ExitStack() as stack:
-        helpers = [stack.enter_context(
-                       forked(functools.partial(_send_rows, point_fn, chunk, column)))
-                   for chunk in chunks[1:]]
+
+    def rows(chunk):
+        return [_point_row(point_fn, v, column) for v in chunk]
+
+    with _fork.fanned_out(rows, chunks) as gather:
         if alongside is not None:
             alongside()
-        rows = [_point_row(point_fn, v, column) for v in chunks[0]]
-        for chunk, ends in zip(chunks[1:], helpers):
-            got = _helper_rows(ends[0], len(chunk)) if ends else None
-            rows += got if got is not None else \
-                [_point_row(point_fn, v, column) for v in chunk]
-    return rows
+        return [row for chunk_rows in gather() for row in chunk_rows]
 
 
 # ---------------------------------------------------------------------------

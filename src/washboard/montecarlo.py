@@ -16,45 +16,36 @@ from the post-burn-in displacement.  Every trajectory owns a counter-based
 random stream keyed by (seed, k), so results are bit-reproducible and
 independent of batching.
 
-Who draws the noise.  The caller draws the initial conditions, then forks
-one helper process that owns the streams from there on and fills the path
-noise chunk by chunk, while the caller steps through the chunk before.  The
-two chunks live in an anonymous shared ``mmap`` and are handed over through
-a pipe each way; their 2 x ``_CHUNK`` steps take 4 MB at 500 trajectories.
-On one thread, a force of the ``mc`` benchmark workload (500 trajectories x
-5e4 steps, 2-vCPU Xeon) spends 0.41 s on Philox fills, 0.05 s on the
-transposed scaling and about 0.55 s on the step arithmetic.  With the
-helper the two sides overlap and nearly balance: the workload's three forces
-took 2.04 s, and 1.90 s with no step arithmetic at all (medians of 6), so
-the helper's fill is what bounds a cut on the step side.  It is a process
-and not a thread because the step loop's ufuncs on a few hundred
-trajectories never release the GIL: a thread producer made the workload
-slower (2.39-2.43 s against 2.29 s on one thread), the helper faster
-(1.32 s).  The helper fills exactly as the caller would, so results are the
-same bits with or without it; where no helper can be started the caller
-fills each chunk itself.  :mod:`washboard._fork` forks the helper and states
+Who runs which trajectories.  The trajectories 0..n_traj-1 are cut into
+one contiguous block per CPU, and :func:`washboard._fork.fanned_out` steps
+the first block in this process and each other one in a forked helper.  A
+block draws its own initial conditions, then fills its path noise inline,
+chunk by chunk, from its own streams and steps through each chunk, so the
+fill and the steps of each block sit on that block's CPU.  Each trajectory's
+stream and steps are its own (every step is elementwise), so its bits, and
+the estimates, are the same at any block count, and where no helper can be
+started the block is stepped here.  It is processes and not threads because
+the step loop's ufuncs on a few hundred trajectories never release the GIL:
+a thread producer of the noise made the ``mc`` benchmark workload slower
+(2.39-2.43 s against 2.29 s on one thread).  :mod:`washboard._fork` states
 the caveats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import mmap
-import os
-from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fork import forked
+from . import _fork
 from .model import ModelParams, _scalar
 
-__all__ = ["McConfig", "McEstimate", "NoiseHelperError", "simulate"]
+__all__ = ["McConfig", "McEstimate", "simulate"]
 
-# Steps of noise per chunk; the helper fills one chunk while the step loop
-# reads the other.  No effect on results.  1024 halves the helper's
-# standard_normal calls, but its transposed scaling then runs slower than
-# the calls save, and the whole ran about 2% slower with 4 MB more of slots.
+# Steps of noise per chunk, filled and then stepped through.  No effect on
+# results.
 _CHUNK = 512
 _BLOCK = 64     # trajectories per block of the noise transpose; no effect either
 
@@ -96,15 +87,11 @@ class McEstimate:
     n_traj_used: int
 
 
-def _streams(seed: int, n_traj: int) -> list[np.random.Generator]:
+def _streams(seed: int, ks: range) -> list[np.random.Generator]:
     return [
         np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
-        for k in range(n_traj)
+        for k in ks
     ]
-
-
-class NoiseHelperError(RuntimeError):
-    """The process filling the path noise ended before its last chunk."""
 
 
 def _fill(gens: list[np.random.Generator], noise: np.ndarray, draws: np.ndarray,
@@ -120,38 +107,6 @@ def _fill(gens: list[np.random.Generator], noise: np.ndarray, draws: np.ndarray,
         for row, g in zip(block, gens[k0:k0 + _BLOCK]):
             g.standard_normal(out=row)
         np.multiply(block.T, noise_amp, out=noise[:, k0:k0 + _BLOCK])
-
-
-def _noise_chunks(gens: list[np.random.Generator], n_steps: int, noise_amp: float):
-    """Yield the path noise of ``n_steps`` steps in step-major chunks.
-
-    A chunk stays valid until the next one is asked for.  Close the generator
-    when done with it early: that stops the helper process.
-    """
-    n = len(gens)
-    spans = [min(_CHUNK, n_steps - s) for s in range(0, n_steps, _CHUNK)]
-    slots = np.frombuffer(mmap.mmap(-1, 2 * _CHUNK * n * 8)).reshape(2, _CHUNK, n)
-    draws = np.empty((min(_BLOCK, n), _CHUNK))
-
-    def helper(free_r, ready_w):
-        # chunk c goes into slot c % 2, once the caller has freed that slot
-        for c, span in enumerate(spans):
-            if c >= 2 and not os.read(free_r, 1):
-                return              # the caller has gone
-            _fill(gens, slots[c % 2, :span], draws, noise_amp)
-            os.write(ready_w, b"\0")
-
-    with forked(helper) as ends:
-        for c, span in enumerate(spans):
-            if ends is None:        # no helper: fill each chunk here
-                _fill(gens, slots[c % 2, :span], draws, noise_amp)
-            elif not os.read(ends[0], 1):
-                raise NoiseHelperError(
-                    f"noise helper exited before chunk {c} of {len(spans)}")
-            yield slots[c % 2, :span]
-            if ends is not None and c + 2 < len(spans):
-                with suppress(BrokenPipeError):     # the next read says it died
-                    os.write(ends[1], b"\0")
 
 
 def _estimate(disp: np.ndarray, horizon: float) -> McEstimate:
@@ -180,10 +135,22 @@ def simulate(config: McConfig) -> McEstimate:
 
     the scheme of the module docstring in exact arithmetic, in fewer
     operations; its estimates differ from the momentum form's by roundoff.
-    A non-finite state aborts with the offending trajectory index (the usual
-    cause is dt too large).  ``NoiseHelperError`` means the process filling
-    the noise died; its traceback is on standard error.
+    A non-finite state raises ``FloatingPointError`` naming the offending
+    trajectory by its index in the ensemble (the usual cause is dt too
+    large); when it happens in a helper's block, the helper's traceback is
+    on standard error and the block is stepped again here to raise it.
     """
+    n = config.n_traj
+    blocks = min(_fork._cpu_count(), n)
+    parts = [range(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+    with _fork.fanned_out(functools.partial(_displacements, config), parts) as gather:
+        disp = np.concatenate(gather())
+    return _estimate(disp, (config.n_steps - config.n_burnin) * config.dt)
+
+
+def _displacements(config: McConfig, ks: range) -> np.ndarray:
+    """q(T) - q(T0) of the trajectories ``ks``, stepped as :func:`simulate`
+    says, with the noise filled and stepped through chunk by chunk."""
     params = config.params
     pot = params.potential
     gamma, beta, force = params.gamma, params.beta, params.force
@@ -191,7 +158,7 @@ def simulate(config: McConfig) -> McEstimate:
     dt2 = dt * dt
     noise_amp = math.sqrt(2.0 * gamma / beta * dt)
 
-    gens = _streams(config.seed, config.n_traj)
+    gens = _streams(config.seed, ks)
     q = np.array([g.uniform(0.0, pot.period) for g in gens])
     v = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens]) * dt
 
@@ -204,10 +171,12 @@ def simulate(config: McConfig) -> McEstimate:
     damp_, drift_ = _scalar(1.0 - gamma * dt), _scalar(force * dt2)
     mul, add = np.multiply, np.add
 
-    n = config.n_traj
+    n = len(ks)
     q_mark = np.empty(n)
     acc = np.empty(n)
     work = np.empty(n)
+    chunk = np.empty((_CHUNK, n))
+    draws = np.empty((min(_BLOCK, n), _CHUNK))
 
     def advance(rows):
         """One step of every trajectory per row of noise."""
@@ -220,22 +189,21 @@ def simulate(config: McConfig) -> McEstimate:
             add(v, xi, v)
             add(q, v, q)
 
-    step = 0
     # A diverging path overflows mid-chunk; the check after the chunk names it.
-    with closing(_noise_chunks(gens, config.n_steps, noise_amp * dt)) as chunks, \
-            np.errstate(over="ignore", invalid="ignore"):
-        for noise in chunks:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(0, config.n_steps, _CHUNK):
+            noise = chunk[:min(_CHUNK, config.n_steps - step)]
+            _fill(gens, noise, draws, noise_amp * dt)
             mark = config.n_burnin - step
-            step += len(noise)
             if 0 <= mark < len(noise):      # the burn-in ends in this chunk
                 advance(noise[:mark])
                 q_mark[:] = q
                 noise = noise[mark:]
             advance(noise)
             if not np.all(np.isfinite(q)):
-                bad = int(np.nonzero(~np.isfinite(q))[0][0])
+                bad = ks[int(np.nonzero(~np.isfinite(q))[0][0])]
                 raise FloatingPointError(
                     f"trajectory {bad} diverged (non-finite q); reduce dt"
                 )
 
-    return _estimate(q - q_mark, (config.n_steps - config.n_burnin) * dt)
+    return q - q_mark

@@ -26,7 +26,7 @@ def simulate_p_form(config: McConfig) -> McEstimate:
     gamma, beta, force, dt = params.gamma, params.beta, params.force, config.dt
     noise_amp = math.sqrt(2.0 * gamma / beta * dt)
 
-    gens = _streams(config.seed, config.n_traj)
+    gens = _streams(config.seed, range(config.n_traj))
     q = np.array([g.uniform(0.0, pot.period) for g in gens])
     p = np.array([g.normal(0.0, 1.0 / math.sqrt(beta)) for g in gens])
     draws = np.array([g.standard_normal(config.n_steps) for g in gens])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import washboard
+import washboard._fork as _fork
 import washboard.blas as blas
 import washboard.cli as cli
 import washboard.transport as transport
@@ -227,7 +228,7 @@ def test_einstein_check_takes_a_single_point(tmp_path):
 def test_einstein_check_gap(tmp_path, monkeypatch, cos_config):
     solves = []
     _patch_solve(monkeypatch, solves.append)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)    # every solve counted here
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 1)    # every solve counted here
     out = str(tmp_path / "g.csv")
     code = main(["einstein-check", "--config", cos_config, "--out", out,
                  "--var", "force", "--min", "0.0", "--max", "1.0", "--count", "3"])
@@ -585,7 +586,7 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     # and from F = 2.75 up the converged solutions at 384 carry a bump of
     # levels (a metastable locked state) above rungs that converge when solved
     config = _fig3_gamma05(tmp_path)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)   # count every solve here
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 1)   # count every solve here
     calls = _count_solves(monkeypatch)
     continued = _transport_bytes(tmp_path, config, "continued.csv")
     n_continued = len(calls)
@@ -608,7 +609,7 @@ def test_continued_sweep_rows_equal_the_full_ladder(tmp_path, monkeypatch):
     assert (n_continued, n_uncertified, len(calls)) == (20, 30, 28)
 
     monkeypatch.setattr(cli, "solve_transport", solve)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 2)
     assert _transport_bytes(tmp_path, config, "split.csv") == continued
 
 
@@ -627,7 +628,7 @@ def _split_main(tmp_path, monkeypatch, command, cpus, name):
 
     config, out = tmp_path / "split.json", tmp_path / name
     config.write_text(json.dumps(_SPLIT_CONFIG))
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: cpus)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
@@ -694,6 +695,28 @@ def test_split_sweep_csv_equals_serial(tmp_path, monkeypatch, pinnable, command)
     code, csv = runs[1]
     assert code == 2 and csv.count(b"SolverError: injected at F=1.2") == 1
     assert csv.count(b"\n") == 6
+
+
+def test_split_mc_sweep_csv_equals_serial(tmp_path, monkeypatch, pinnable):
+    # sweep helpers and trajectory blocks nested: at two CPUs the sweep forks
+    # one helper, and each sweep process forks one block helper per point
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
+        "mc": {"dt": 0.01, "n_steps": 600, "n_burnin": 50, "n_traj": 9, "seed": 2},
+        "sweep": {"variable": "force", "min": 0.0, "max": 1.5, "count": 4}}))
+    forks = _count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        del forks[:]
+        monkeypatch.setattr(_fork, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"{cpus}.csv"
+        assert main(["mc", "--config", str(config), "--out", str(out)]) == 0
+        runs.append((len(forks), out.read_bytes()))
+    assert [n for n, _ in runs] == [0, 3]
+    assert runs[0][1] == runs[1][1] and runs[0][1].count(b"\n") == 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dead_helper_chunk_is_solved_again(tmp_path, monkeypatch, pinnable):

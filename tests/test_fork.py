@@ -7,7 +7,7 @@ import signal
 import pytest
 
 import washboard
-from washboard._fork import forked
+from washboard._fork import fanned_out, forked
 
 _FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
@@ -37,12 +37,11 @@ def _exited_child():
 
 
 @_FORK
-def test_channel_runs_both_ways():
-    def shout(read_fd, write_fd):
-        os.write(write_fd, os.read(read_fd, 5).upper())
+def test_channel_carries_what_the_child_writes():
+    def shout(write_fd):
+        os.write(write_fd, b"HELLO")
 
-    with forked(shout) as (read_fd, write_fd):
-        os.write(write_fd, b"hello")
+    with forked(shout) as read_fd:
         assert os.read(read_fd, 5) == b"HELLO"
         assert os.read(read_fd, 1) == b""
         assert _exited_child() == (os.CLD_EXITED, 0)
@@ -51,10 +50,10 @@ def test_channel_runs_both_ways():
 
 @_FORK
 def test_raising_child_leaves_its_traceback_and_reads_as_eof(capfd):
-    def fail(read_fd, write_fd):
+    def fail(write_fd):
         raise RuntimeError("injected child failure")
 
-    with forked(fail) as (read_fd, _):
+    with forked(fail) as read_fd:
         assert os.read(read_fd, 1) == b""
         assert _exited_child() == (os.CLD_EXITED, 1)
     err = capfd.readouterr().err
@@ -72,13 +71,13 @@ def test_exception_in_the_body_kills_and_reaps_a_running_child(monkeypatch):
         statuses.append(got[1])
         return got
 
-    def wait_for_eof(read_fd, write_fd):
+    def wait_forever(write_fd):
         os.write(write_fd, b"\1")
-        os.read(read_fd, 1)         # returns once the other side's ends close
+        signal.pause()              # until killed
 
     monkeypatch.setattr(os, "waitpid", recorded)
     with pytest.raises(RuntimeError, match="injected body failure"):
-        with forked(wait_for_eof) as (read_fd, _):
+        with forked(wait_forever) as read_fd:
             assert os.read(read_fd, 1) == b"\1"     # the child is running
             raise RuntimeError("injected body failure")
     assert len(statuses) == 1
@@ -91,17 +90,17 @@ def test_without_fork_nothing_is_started(monkeypatch):
     ran, pipes = [], []
     monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(True))
-    with forked(lambda read_fd, write_fd: ran.append(True)) as ends:
+    with forked(lambda write_fd: ran.append(True)) as ends:
         assert ends is None
         _assert_no_child()
     assert ran == [] and pipes == []
 
 
 @_FORK
-@pytest.mark.parametrize("pipes_made", [0, 1, 2])
+@pytest.mark.parametrize("pipes_made", [0, 1])
 def test_failed_start_yields_none_and_closes_its_pipes(monkeypatch, pipes_made):
-    # os.pipe fails (EMFILE) after ``pipes_made`` pipes; after both, os.fork
-    # fails (EAGAIN)
+    # os.pipe fails (EMFILE) after ``pipes_made`` pipes; after the one pipe,
+    # os.fork fails (EAGAIN)
     made = []
     pipe = os.pipe
 
@@ -117,7 +116,7 @@ def test_failed_start_yields_none_and_closes_its_pipes(monkeypatch, pipes_made):
 
     monkeypatch.setattr(os, "pipe", limited_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
-    with forked(lambda read_fd, write_fd: None) as ends:
+    with forked(lambda write_fd: None) as ends:
         assert ends is None
     assert len(made) == 2 * pipes_made
     for fd in made:
@@ -134,3 +133,17 @@ def test_only_the_fork_module_forks():
     found = {path.name for path in package.rglob("*.py")
              if pattern.search(path.read_text())}
     assert found == {"_fork.py"}
+
+
+@_FORK
+def test_fan_out_gathers_in_order_and_solves_a_dead_helpers_part_here():
+    parent = os.getpid()
+
+    def solve(part):
+        if part == 2 and os.getpid() != parent:
+            os._exit(3)
+        return part, os.getpid() == parent
+
+    with fanned_out(solve, [0, 1, 2, 3]) as gather:
+        assert gather() == [(0, True), (1, False), (2, True), (3, False)]
+    _assert_no_child()

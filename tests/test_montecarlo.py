@@ -1,16 +1,14 @@
 import errno
 import os
-import signal
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from washboard import montecarlo
+from washboard import _fork, montecarlo
 from washboard.model import ModelParams, PeriodicPotential
 from washboard.basis import TruncationSpec
-from washboard.montecarlo import McConfig, NoiseHelperError, simulate
+from washboard.montecarlo import McConfig, simulate
 from washboard.transport import solve_transport
 
 from mc_reference import simulate_p_form
@@ -123,83 +121,15 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-@_FORK
-def test_noise_helper_is_reaped():
-    simulate(McConfig(dt=0.01, n_steps=3000, n_burnin=100, n_traj=8, seed=1,
-                      params=_cos151(1.0)))
-    _assert_no_child()
-    # the traceback held here keeps simulate's frame, and its noise source, alive
-    with pytest.raises(FloatingPointError) as diverged:
-        simulate(_diverging())
-    _assert_no_child()
-    assert diverged.tb is not None
-
-
-@_FORK
-def test_noise_helper_failure_raises(monkeypatch, capfd):
-    fill = montecarlo._fill
-    filled = []
-
-    def fill_once(*args):
-        if filled:
-            raise RuntimeError("injected fill failure")
-        filled.append(True)
-        fill(*args)
-
-    def hung(signum, frame):
-        raise TimeoutError("simulate waited on a dead noise helper")
-
-    monkeypatch.setattr(montecarlo, "_fill", fill_once)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
-    config = McConfig(dt=0.01, n_steps=1000, n_burnin=0, n_traj=4, seed=0,
-                      params=_cos151(1.0))
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(NoiseHelperError, match="before chunk 1 of 10"):
-            simulate(config)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert "injected fill failure" in capfd.readouterr().err
-    _assert_no_child()
-
-
-@_FORK
-def test_noise_helper_gone_before_the_slot_is_freed(monkeypatch, capfd):
-    # a caller slower than the failing helper frees chunk 0's slot into a
-    # pipe nobody reads; that is the helper's failure, not a broken pipe
-    fill = montecarlo._fill
-    filled = []
-
-    def fill_once(*args):
-        if filled:
-            raise RuntimeError("injected fill failure")
-        filled.append(True)
-        fill(*args)
-
-    chunks = montecarlo._noise_chunks
-
-    def slow_caller(*args):
-        with closing(chunks(*args)) as inner:
-            for noise in inner:
-                yield noise
-                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)   # helper exited
-
-    monkeypatch.setattr(montecarlo, "_fill", fill_once)
-    monkeypatch.setattr(montecarlo, "_noise_chunks", slow_caller)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
-    config = McConfig(dt=0.01, n_steps=1000, n_burnin=0, n_traj=4, seed=0,
-                      params=_cos151(1.0))
-    with pytest.raises(NoiseHelperError, match="before chunk 1 of 10"):
-        simulate(config)
-    assert "injected fill failure" in capfd.readouterr().err
-    _assert_no_child()
+def test_divergence_in_a_block_names_its_ensemble_index():
+    # a block offsets the index of its diverging trajectory by its first k
+    with pytest.raises(FloatingPointError, match="trajectory 2 diverged"):
+        montecarlo._displacements(_diverging(), range(2, 4))
 
 
 @pytest.fixture(params=["fork", "inline"])
 def noise_path(request, monkeypatch):
-    """Noise from the forked helper, or filled inline as where os.fork is missing."""
+    """Blocks stepped in forked helpers, or all here as where os.fork is missing."""
     if request.param == "inline":
         monkeypatch.delattr(os, "fork")
     elif not hasattr(os, "fork"):
@@ -295,12 +225,46 @@ def test_estimates_bit_pinned_without_fork(monkeypatch, params, burnin, expected
 @pytest.mark.parametrize("params, burnin, expected", _GOLDEN)
 def test_estimates_bit_pinned_when_no_helper_starts(monkeypatch, call, err, params,
                                                     burnin, expected):
-    # no helper process can be made: the caller fills the noise itself
+    # no helper process can be made: every block is stepped here
     def fail():
         raise OSError(err, os.strerror(err))
 
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, call, fail)
     test_estimates_bit_pinned(params, burnin, expected)
+    _assert_no_child()
+
+
+@_FORK
+def test_block_helpers_are_reaped(monkeypatch):
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 2)
+    simulate(McConfig(dt=0.01, n_steps=3000, n_burnin=100, n_traj=8, seed=1,
+                      params=_cos151(1.0)))
+    _assert_no_child()
+    # the traceback held here keeps simulate's frame alive
+    with pytest.raises(FloatingPointError) as diverged:
+        simulate(_diverging())
+    _assert_no_child()
+    assert diverged.tb is not None
+
+
+@_FORK
+def test_failed_block_helper_is_stepped_here(monkeypatch, capfd):
+    # a helper whose block raises leaves its traceback; the block is stepped
+    # again here, to the same bits
+    parent = os.getpid()
+    fill = montecarlo._fill
+
+    def fail_in_helper(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("injected fill failure")
+        fill(*args)
+
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_fill", fail_in_helper)
+    for params, burnin, expected in _GOLDEN:
+        test_estimates_bit_pinned(params, burnin, expected)
+    assert "injected fill failure" in capfd.readouterr().err
     _assert_no_child()
 
 
@@ -314,6 +278,16 @@ def test_chunk_size_has_no_effect(monkeypatch, params, noise_path):
         monkeypatch.setattr(montecarlo, "_BLOCK", size)
         assert simulate(config) == reference
 
+
+@pytest.mark.parametrize("params", [_cos151(1.0), _multi(0.6)])
+def test_block_count_has_no_effect(monkeypatch, params, noise_path):
+    config = McConfig(dt=0.01, n_steps=600, n_burnin=50, n_traj=10, seed=3,
+                      params=params)
+    estimates = []
+    for cpus in (1, 2, 3, config.n_traj + 3):
+        monkeypatch.setattr(_fork, "_cpu_count", lambda: cpus)
+        estimates.append(simulate(config))
+    assert estimates[1:] == estimates[:-1]
 
 
 @pytest.mark.parametrize("burnin", [0, 512, 700])

@@ -84,7 +84,7 @@ def test_import_and_solves_load_no_scipy(tmp_path):
 
 
 def test_import_loads_no_multiprocessing():
-    # the sweep and Monte Carlo noise helpers are forked by washboard._fork
+    # sweep helpers and Monte Carlo trajectory blocks are forked by washboard._fork
     # with a bare os.fork; multiprocessing would add its import to every
     # process that imports the package
     assert not _loaded_by_import("multiprocessing")
