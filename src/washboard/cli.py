@@ -295,15 +295,16 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     swept value under ``column`` (the column a successful row reports it in);
     the sweep continues.
 
-    The points are independent, so with three points or more, two CPUs or
-    more and every OpenBLAS copy on one thread (as :func:`main` sets it;
-    forked BLAS thread pools lose), they are shared out by
-    :func:`washboard._fork.fanned_out`, which solves the first chunk here
-    and each other one in a forked helper (see there for what happens when
-    a helper cannot start or dies, and for the caveats).  The values are
-    cut into one contiguous chunk per CPU, because neighbouring points need
-    about the same truncation and the adaptive engines' point functions
-    carry their converged truncation to the next point (``_Continuation``).
+    The points are independent, so with three points or more and every
+    OpenBLAS copy on one thread (as :func:`main` sets it; forked BLAS
+    thread pools lose), they are shared out by
+    :func:`washboard._fork.fanned_out`, which cuts them into one contiguous
+    chunk per CPU of its budget, solves the first chunk here and each other
+    one in a forked helper (see there for the budget, for what happens when
+    a helper cannot start or dies, and for the caveats).  The chunks are
+    contiguous because neighbouring points need about the same truncation
+    and the adaptive engines' point functions carry their converged
+    truncation to the next point (``_Continuation``).
     The helpers are forked before this process solves anything, so every
     chunk's first point is a fresh climb: n0, then up from the rung its n0
     density predicts.  Each chunk after the first costs one more fresh climb
@@ -329,16 +330,12 @@ def run_sweep(point_fn, values, column: str) -> list[dict]:
     """
     values = list(values)
     alongside = getattr(point_fn, "alongside", None)
-    n = min(_fork._cpu_count(), len(values))
-    if len(values) < 3 or n < 2 or not single_threaded():
-        n = 1
-    chunks = [values[len(values) * i // n : len(values) * (i + 1) // n]
-              for i in range(n)]
 
     def rows(chunk):
         return [_point_row(point_fn, v, column) for v in chunk]
 
-    with _fork.fanned_out(rows, chunks) as gather:
+    split = len(values) >= 3 and single_threaded()
+    with _fork.fanned_out(rows, values, split) as gather:
         if alongside is not None:
             alongside()
         return [row for chunk_rows in gather() for row in chunk_rows]

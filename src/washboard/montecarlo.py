@@ -16,9 +16,12 @@ from the post-burn-in displacement.  Every trajectory owns a counter-based
 random stream keyed by (seed, k), so results are bit-reproducible and
 independent of batching.
 
-Who runs which trajectories.  The trajectories 0..n_traj-1 are cut into
-one contiguous block per CPU, and :func:`washboard._fork.fanned_out` steps
-the first block in this process and each other one in a forked helper.  A
+Who runs which trajectories.  :func:`washboard._fork.fanned_out` cuts the
+trajectories 0..n_traj-1 into one contiguous block per CPU of its budget,
+steps the first block in this process and each other one in a forked
+helper.  Inside a helper of a split sweep (:func:`washboard.cli.run_sweep`),
+or in the sweep process beside one on 2 CPUs, that budget is one CPU and the
+ensemble is stepped as one block, to the same bits.  A
 block draws its own initial conditions, then fills its path noise inline,
 chunk by chunk, from its own streams and steps through each chunk, so the
 fill and the steps of each block sit on that block's CPU.  Each trajectory's
@@ -139,11 +142,11 @@ def simulate(config: McConfig) -> McEstimate:
     trajectory by its index in the ensemble (the usual cause is dt too
     large); when it happens in a helper's block, the helper's traceback is
     on standard error and the block is stepped again here to raise it.
+    The blocks are the module docstring's: one per CPU of the fan-out
+    budget, so one block inside a split sweep on 2 CPUs.
     """
-    n = config.n_traj
-    blocks = min(_fork._cpu_count(), n)
-    parts = [range(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
-    with _fork.fanned_out(functools.partial(_displacements, config), parts) as gather:
+    with _fork.fanned_out(functools.partial(_displacements, config),
+                          range(config.n_traj)) as gather:
         disp = np.concatenate(gather())
     return _estimate(disp, (config.n_steps - config.n_burnin) * config.dt)
 

@@ -699,21 +699,32 @@ def test_split_sweep_csv_equals_serial(tmp_path, monkeypatch, pinnable, command)
 
 def test_split_mc_sweep_csv_equals_serial(tmp_path, monkeypatch, pinnable):
     # sweep helpers and trajectory blocks nested: at two CPUs the sweep forks
-    # one helper, and each sweep process forks one block helper per point
+    # one helper, and each sweep process then has one CPU and steps its
+    # ensembles inline, so the whole process tree forks once
     config = tmp_path / "mc.json"
     config.write_text(json.dumps({
         "gamma": 1.0, "beta": 5.0, "potential": {"L": 1.0, "cos": [1.0]},
         "mc": {"dt": 0.01, "n_steps": 600, "n_burnin": 50, "n_traj": 9, "seed": 2},
         "sweep": {"variable": "force", "min": 0.0, "max": 1.5, "count": 4}}))
-    forks = _count_forks(monkeypatch)
+    log = tmp_path / "forks.log"
+    fork = os.fork
+
+    def logged():                   # in whichever process forks
+        pid = fork()
+        if pid:
+            with open(log, "a") as fh:
+                fh.write(f"{pid}\n")
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged)
     runs = []
     for cpus in (1, 2):
-        del forks[:]
+        log.write_text("")
         monkeypatch.setattr(_fork, "_cpu_count", lambda: cpus)
         out = tmp_path / f"{cpus}.csv"
         assert main(["mc", "--config", str(config), "--out", str(out)]) == 0
-        runs.append((len(forks), out.read_bytes()))
-    assert [n for n, _ in runs] == [0, 3]
+        runs.append((len(log.read_text().splitlines()), out.read_bytes()))
+    assert [n for n, _ in runs] == [0, 1]
     assert runs[0][1] == runs[1][1] and runs[0][1].count(b"\n") == 5
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

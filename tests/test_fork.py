@@ -7,6 +7,7 @@ import signal
 import pytest
 
 import washboard
+from washboard import _fork
 from washboard._fork import fanned_out, forked
 
 _FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
@@ -125,25 +126,110 @@ def test_failed_start_yields_none_and_closes_its_pipes(monkeypatch, pipes_made):
     _assert_no_child()
 
 
+def _modules_matching(pattern: str) -> set:
+    package = pathlib.Path(washboard.__file__).parent
+    return {path.name for path in package.rglob("*.py")
+            if re.search(pattern, path.read_text())}
+
+
 def test_only_the_fork_module_forks():
     # one copy of the process handling: a second module that forks, exits a
     # child, reaps it or kills it has grown its own
-    pattern = re.compile(r"os\.fork|os\._exit|os\.waitpid|SIGKILL")
-    package = pathlib.Path(washboard.__file__).parent
-    found = {path.name for path in package.rglob("*.py")
-             if pattern.search(path.read_text())}
-    assert found == {"_fork.py"}
+    assert _modules_matching(r"os\.fork|os\._exit|os\.waitpid|SIGKILL") == {"_fork.py"}
+
+
+def test_only_the_fork_module_reads_the_cpu_count():
+    # one budget: a second module that counts CPUs cuts its work on its own
+    assert _modules_matching(r"_cpu_count\(|sched_getaffinity|cpu_count\(") == {"_fork.py"}
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: n)
 
 
 @_FORK
-def test_fan_out_gathers_in_order_and_solves_a_dead_helpers_part_here():
+def test_fan_out_gathers_in_order_and_solves_a_dead_helpers_part_here(monkeypatch):
     parent = os.getpid()
 
     def solve(part):
-        if part == 2 and os.getpid() != parent:
+        if part == [2] and os.getpid() != parent:
             os._exit(3)
         return part, os.getpid() == parent
 
+    _cpus(monkeypatch, 4)
     with fanned_out(solve, [0, 1, 2, 3]) as gather:
-        assert gather() == [(0, True), (1, False), (2, True), (3, False)]
+        assert gather() == [([0], True), ([1], False), ([2], True), ([3], False)]
     _assert_no_child()
+
+
+def _where(part):
+    """``part`` and the pid of the process that solved it."""
+    return part, os.getpid()
+
+
+def _inner(part):
+    """The parts and pids of a fan-out nested in the one solving ``part``."""
+    with fanned_out(_where, range(4)) as gather:
+        return gather()
+
+
+@_FORK
+@pytest.mark.parametrize("cpus, items, parts", [
+    (2, range(5), [range(0, 2), range(2, 5)]),
+    (4, range(3), [range(0, 1), range(1, 2), range(2, 3)]),
+])
+def test_fan_out_cuts_contiguous_parts_shortest_first(monkeypatch, cpus, items, parts):
+    _cpus(monkeypatch, cpus)
+    with fanned_out(_where, items) as gather:
+        got = gather()
+    assert [part for part, _ in got] == parts
+    assert len({pid for _, pid in got}) == len(parts)
+    _assert_no_child()
+
+
+@_FORK
+def test_fan_out_nested_in_a_helper_runs_inline_at_two_cpus(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with fanned_out(_inner, range(2)) as gather:
+        first, second = gather()
+    parent = os.getpid()
+    assert first == [(range(4), parent)]            # in the first part, here
+    [(inner_part, helper)] = second
+    assert inner_part == range(4) and helper != parent
+    _assert_no_child()
+
+
+@_FORK
+def test_fan_out_in_the_with_body_runs_inline_at_two_cpus(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with fanned_out(_where, range(2)) as gather:
+        assert _inner(None) == [(range(4), os.getpid())]
+        assert [pid == os.getpid() for _, pid in gather()] == [True, False]
+    _assert_no_child()
+    # outside any fan-out the budget is the CPU count again
+    assert len({pid for _, pid in _inner(None)}) == 2
+    _assert_no_child()
+
+
+@_FORK
+def test_nested_fan_outs_share_four_cpus(monkeypatch):
+    _cpus(monkeypatch, 4)
+    with fanned_out(_inner, range(2)) as gather:
+        outer = gather()
+    parent = os.getpid()
+    assert [[part for part, _ in inner] for inner in outer] == [
+        [range(0, 2), range(2, 4)]] * 2
+    pids = [[pid for _, pid in inner] for inner in outer]
+    assert pids[0][0] == parent and pids[1][0] != parent
+    assert len({pid for inner in pids for pid in inner}) == 4
+    _assert_no_child()
+
+
+@_FORK
+def test_unsplit_fan_out_forks_nothing(monkeypatch):
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(True))
+    _cpus(monkeypatch, 4)
+    with fanned_out(_where, [0, 1, 2, 3], split=False) as gather:
+        assert gather() == [([0, 1, 2, 3], os.getpid())]
+    assert forks == []
